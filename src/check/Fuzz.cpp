@@ -131,76 +131,22 @@ void judge(FuzzRunResult &R, const History &H, const FuzzConfig &Cfg,
   R.Error = Err.str();
 }
 
-FuzzRunResult runTl2(const FuzzPlan &Plan, uint64_t Seed,
-                     ConflictDetection Detection, const FuzzConfig &Cfg) {
-  FuzzRunResult R;
-  R.Expected = Plan.expectedFinal();
-
-  Tl2Config C;
-  C.LockTableBits = 10; // small table: deliberate stripe aliasing pressure
-  C.Detection = Detection;
-  C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  C.Fault = Cfg.Fault;
-  Tl2Stm Stm(C);
-
-  std::deque<TVar<uint64_t>> Vars;
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    Vars.emplace_back(Plan.Initial[I]);
-
-  HistoryRecorder Rec(Cfg.Threads);
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    Rec.noteInitial(&Vars[I].word(), Plan.Initial[I]);
-  SchedulePerturber Perturb(Cfg.Threads, Seed, &Rec, Cfg.PerturbShift);
-  Stm.setAccessObserver(&Perturb);
-  Stm.setObserver(&Rec);
-
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < Cfg.Threads; ++T)
-    Workers.emplace_back([&, T] {
-      Tl2Txn Txn(Stm, T);
-      const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
-      for (size_t K = 0; K < Txns.size(); ++K)
-        Txn.run(static_cast<TxId>(K), [&](Tl2Txn &Tx) {
-          for (const FuzzOp &Op : Txns[K].Ops) {
-            uint64_t V = Tx.load(Vars[Op.Var]);
-            if (Op.IsWrite)
-              Tx.store(Vars[Op.Var], V + Op.Delta);
-          }
-        });
-    });
-  for (std::thread &W : Workers)
-    W.join();
-
-  Stm.setAccessObserver(nullptr);
-  Stm.setObserver(nullptr);
-  R.PerturbYields = Perturb.yieldCount();
-
-  R.Final.resize(Cfg.Vars);
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    R.Final[I] = Vars[I].loadDirect();
-
-  std::string Residue;
-  lockTableQuiescent(Stm.lockTable(), &Residue);
-  judge(R, Rec.take(), Cfg,
-        size_t{Cfg.Threads} * Cfg.TxnsPerThread, Residue);
-  return R;
-}
-
-/// One runner covers all three policy-templated engines: the chassis
-/// mirrors Tl2Stm's observer/stats surface, so only the table type (and
-/// hence the residue probe) varies per policy.
+/// One runner covers every engine on the chassis: only the table type
+/// (and hence the residue probe) varies per policy. \p Detection picks
+/// TL2's mode; the other policies ignore it.
 template <typename Policy>
 FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
-                        const FuzzConfig &Cfg) {
+                        const FuzzConfig &Cfg,
+                        ConflictDetection Detection = ConflictDetection::Lazy) {
   FuzzRunResult R;
   R.Expected = Plan.expectedFinal();
 
   EngineConfig C;
   C.TableBits = 10; // small table: deliberate entry aliasing pressure
+  C.Detection = Detection;
   C.PreemptShift = Cfg.PreemptShift;
   C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  C.Fault = Cfg.EngineFault;
+  C.Fault = Cfg.Fault;
   EngineStm<Policy> Stm(C);
 
   std::deque<TVar<uint64_t>> Vars;
@@ -366,9 +312,9 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
   FuzzPlan Plan = makeFuzzPlan(Seed, Cfg);
   switch (Backend) {
   case FuzzBackend::Tl2Lazy:
-    return runTl2(Plan, Seed, ConflictDetection::Lazy, Cfg);
+    return runEngine<Tl2Policy>(Plan, Seed, Cfg, ConflictDetection::Lazy);
   case FuzzBackend::Tl2Eager:
-    return runTl2(Plan, Seed, ConflictDetection::Eager, Cfg);
+    return runEngine<Tl2Policy>(Plan, Seed, Cfg, ConflictDetection::Eager);
   case FuzzBackend::LibTm:
     return runLibTm(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:

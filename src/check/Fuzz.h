@@ -8,9 +8,9 @@
 /// \file
 /// Seeded, reproducible STM fuzzing: a seed expands into a FuzzPlan — a
 /// fixed population of read-modify-write transactions over a small TVar
-/// array — which runs under any backend configuration (TL2 lazy, TL2
-/// eager, LibTm, the three policy-templated engines from src/engine, and
-/// a single-threaded reference interpreter) with schedule perturbation
+/// array — which runs under any backend configuration (the chassis
+/// engines from src/engine with TL2 in both modes, LibTm, and a
+/// single-threaded reference interpreter) with schedule perturbation
 /// and full history recording. Each run is judged three ways:
 ///
 ///  * the recorded history must pass the checkers (check/Checker.h),
@@ -32,7 +32,6 @@
 #include "check/Checker.h"
 #include "check/History.h"
 #include "engine/Core.h"
-#include "stm/Tl2.h"
 
 #include <cstdint>
 #include <string>
@@ -44,11 +43,12 @@ namespace gstm {
 enum class FuzzBackend : uint8_t {
   /// TL2, commit-time (lazy) conflict detection — the paper's default.
   Tl2Lazy,
-  /// TL2, encounter-time (eager) locking with undo log.
+  /// TL2, encounter-time (eager) locking with undo log — the orec-eager
+  /// algorithm reached through TL2's configuration.
   Tl2Eager,
   /// Object-based LibTm, one TObj<uint64_t> per variable.
   LibTm,
-  /// Policy-templated engines (src/engine): orec-based encounter-time
+  /// The other chassis engines (src/engine): orec-based encounter-time
   /// locking with undo log and commit-time read validation,
   OrecEager,
   /// TLRW-style visible-reader bytelocks (no commit validation),
@@ -66,9 +66,8 @@ const char *fuzzBackendName(FuzzBackend B);
 /// Inverse of fuzzBackendName; returns false when \p Name is unknown.
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
-/// Every backend, in fuzzBackendName order: the two hand-written
-/// runtimes in their modes, the three policy-templated engines, and the
-/// serial reference.
+/// Every backend, in fuzzBackendName order: TL2 in its two modes,
+/// LibTm, the other three chassis engines, and the serial reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
     FuzzBackend::Tl2Lazy,   FuzzBackend::Tl2Eager, FuzzBackend::LibTm,
     FuzzBackend::OrecEager, FuzzBackend::Tlrw,     FuzzBackend::TwoPlUndo,
@@ -85,20 +84,20 @@ struct FuzzConfig {
   /// Operations per transaction are drawn from [1, MaxOpsPerTxn], each on
   /// a distinct variable; roughly half become read-modify-writes.
   unsigned MaxOpsPerTxn = 4;
-  /// STM-internal random preemption (Tl2Config/LibTmConfig PreemptShift).
+  /// STM-internal random preemption (EngineConfig/LibTmConfig
+  /// PreemptShift).
   unsigned PreemptShift = 2;
   /// Observer-level perturbation (SchedulePerturber yield shift).
   unsigned PerturbShift = 2;
-  /// Commit ordering for the TL2/LibTm backends: true exercises the
-  /// single-fence writeback path (the runtime default), false the
-  /// standard advance-then-validate-then-publish ordering. CI smoke runs
-  /// sweep both (tools/check_fuzz.cpp).
+  /// Commit ordering for the TL2/orec-eager/LibTm backends: true
+  /// exercises the single-fence writeback path (the runtime default),
+  /// false the standard advance-then-validate-then-publish ordering. CI
+  /// smoke runs sweep both (tools/check_fuzz.cpp).
   bool SingleFenceCommit = true;
-  /// Fault injection for the TL2 backends (mutation self-test only).
-  Tl2FaultInjection Fault;
-  /// Fault injection for the policy-templated engine backends (mutation
-  /// self-test only; see EngineFaultInjection for the per-engine knobs).
-  EngineFaultInjection EngineFault;
+  /// Fault injection for the engine-family backends, TL2 included
+  /// (mutation self-test only; see EngineFaultInjection for which engine
+  /// each knob breaks).
+  EngineFaultInjection Fault;
   CheckerConfig Checker;
 };
 

@@ -275,24 +275,6 @@ TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
 }
 
 template <template <typename> class DSTmpl>
-TmdsRunResult runTl2Ds(const TmdsPlan &Plan, uint64_t Seed,
-                       ConflictDetection Detection,
-                       const TmdsFuzzConfig &Cfg, bool Serial) {
-  Tl2Config C;
-  C.LockTableBits = 10; // small table: deliberate stripe aliasing pressure
-  C.Detection = Detection;
-  C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  Tl2Stm Stm(C);
-  return runOn<Tl2Backend, DSTmpl>(
-      Stm, Plan, Seed, Cfg, Serial, [](Tl2Stm &S, auto &) {
-        std::string Why;
-        lockTableQuiescent(S.lockTable(), &Why);
-        return Why;
-      });
-}
-
-template <template <typename> class DSTmpl>
 TmdsRunResult runLibTmDs(const TmdsPlan &Plan, uint64_t Seed,
                          const TmdsFuzzConfig &Cfg) {
   LibTmConfig C;
@@ -308,19 +290,22 @@ TmdsRunResult runLibTmDs(const TmdsPlan &Plan, uint64_t Seed,
       });
 }
 
-/// One runner for the three policy-templated engines; the engine table's
-/// residue probe is the whole-table quiescence check matching the
-/// policy's table type.
+/// One runner for every chassis engine; the engine table's residue probe
+/// is the whole-table quiescence check matching the policy's table type.
+/// \p Detection picks TL2's mode; the other policies ignore it.
 template <typename Policy, template <typename> class DSTmpl>
 TmdsRunResult runEngineDs(const TmdsPlan &Plan, uint64_t Seed,
-                          const TmdsFuzzConfig &Cfg) {
+                          const TmdsFuzzConfig &Cfg,
+                          ConflictDetection Detection = ConflictDetection::Lazy,
+                          bool Serial = false) {
   EngineConfig C;
   C.TableBits = 10; // small table: deliberate entry aliasing pressure
+  C.Detection = Detection;
   C.PreemptShift = Cfg.PreemptShift;
   C.SingleFenceCommit = Cfg.SingleFenceCommit;
   EngineStm<Policy> Stm(C);
   return runOn<EngineBackend<Policy>, DSTmpl>(
-      Stm, Plan, Seed, Cfg, /*Serial=*/false,
+      Stm, Plan, Seed, Cfg, Serial,
       [](EngineStm<Policy> &S, auto &) {
         std::string Why;
         if constexpr (std::is_same_v<typename Policy::Table,
@@ -338,11 +323,10 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
                               const TmdsFuzzConfig &Cfg) {
   switch (Backend) {
   case FuzzBackend::Tl2Lazy:
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Lazy, Cfg,
-                            /*Serial=*/false);
+    return runEngineDs<Tl2Policy, DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::Tl2Eager:
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Eager, Cfg,
-                            /*Serial=*/false);
+    return runEngineDs<Tl2Policy, DSTmpl>(Plan, Seed, Cfg,
+                                          ConflictDetection::Eager);
   case FuzzBackend::LibTm:
     return runLibTmDs<DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:
@@ -355,8 +339,9 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
     // Ground truth: the same plan on the TL2-backed structure, executed
     // by one worker thread-major — a genuinely serial interleaving whose
     // history the checkers must accept.
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Lazy, Cfg,
-                            /*Serial=*/true);
+    return runEngineDs<Tl2Policy, DSTmpl>(Plan, Seed, Cfg,
+                                          ConflictDetection::Lazy,
+                                          /*Serial=*/true);
   }
   return TmdsRunResult{};
 }

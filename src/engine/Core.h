@@ -29,8 +29,10 @@
 /// manager directly — the chassis owns event reporting, so telemetry,
 /// GuideController gating, fault attribution through the CommitRing, and
 /// the checker-facing TxAccessObserver hooks behave identically across
-/// the whole family (and identically to the hand-written TL2/LibTm
-/// engines the harness already knows how to judge).
+/// the whole family. TL2, the paper's runtime, is the family's lazy-orec
+/// member (engine/Tl2.h; `Tl2Stm` is `EngineStm<Tl2Policy>`). LibTm
+/// (src/libtm, metadata embedded in the objects) and the sharded tier
+/// (src/shard, one table per shard) keep their own descriptors.
 ///
 /// All engines in this family keep TL2-compatible version discipline —
 /// rv sampled from the shared VersionClock at begin, reads rejected past
@@ -59,54 +61,90 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <type_traits>
 #include <utility>
 
 namespace gstm {
 
+/// When conflicts are detected (paper Sec. II: "STMs provide options of
+/// eager and lazy conflict detection"). Only TL2 offers the choice; the
+/// other policies have one fixed mode and ignore the setting.
+enum class ConflictDetection : uint8_t {
+  /// Commit-time locking with buffered (write-back) updates — the TL2
+  /// default the paper evaluates.
+  Lazy,
+  /// Encounter-time locking with in-place (write-through) updates and an
+  /// undo log; conflicting writers abort at first touch. TL2 runs the
+  /// orec-eager algorithm in this mode.
+  Eager,
+};
+
 /// Deliberately broken engine behavior for the correctness harness's
-/// mutation self-test (tests/engine_test.cpp): each knob disables one
-/// safety mechanism of one engine so the history checkers can prove they
-/// flag the resulting executions. Never enable outside the self-test.
+/// mutation self-test (tests/engine_test.cpp, tests/check_test.cpp):
+/// each knob disables one safety mechanism so the history checkers can
+/// prove they flag the resulting executions. Never enable outside the
+/// self-test.
 struct EngineFaultInjection {
-  /// Undo-log engines (orec-eager, 2pl-undo): an aborting attempt leaves
-  /// its in-place writes behind — uncommitted state becomes visible to
-  /// everyone (dirty reads, phantom final state).
+  /// Undo-log engines (orec-eager, 2pl-undo, eager TL2): an aborting
+  /// attempt leaves its in-place writes behind — uncommitted state
+  /// becomes visible to everyone (dirty reads, phantom final state).
   bool SkipUndoReplay = false;
   /// TLRW: a writer stops draining reader bytes before writing in place —
   /// live readers observe torn snapshots under an unchanged version.
   bool SkipReaderDrain = false;
-  /// orec-eager: commit skips read-set validation — a commit that
-  /// interleaved after this attempt's reads goes undetected (lost
+  /// TL2 and orec-eager: commit skips read-set validation — a commit
+  /// that interleaved after this attempt's reads goes undetected (lost
   /// updates). The pessimistic engines (tlrw, 2pl-undo) have no
   /// validation step to skip: their reads are protected by held locks,
   /// which is exactly the property this knob exists to break elsewhere.
   bool SkipReadValidation = false;
+  /// Lazy TL2: publish the new orec versions (releasing the commit
+  /// locks) before writing the buffered values back — readers can
+  /// validate an orec at the new version while still observing the old
+  /// data. Pins the standard commit ordering.
+  bool TornVersionPublish = false;
 };
 
-/// Construction-time configuration shared by every engine in the family.
+/// Construction-time configuration shared by every engine in the family
+/// (`Tl2Config` is this type).
 struct EngineConfig {
   /// log2 of the lock-table size; 0 = the policy's DefaultTableBits
   /// (byte-lock entries are 16x the size of stripe words, so TLRW
   /// defaults smaller).
   unsigned TableBits = 0;
   unsigned CommitRingBits = 13;
-  /// Address-to-entry hash, as Tl2Config::StripeHash.
+  /// Address-to-entry hash (see StripeHashKind). Mix by default: its
+  /// full-avalanche indexing measurably cuts false stripe conflicts on
+  /// pointer-heavy working sets; Fibonacci remains available for A/B
+  /// comparisons against stock TL2.
   StripeHashKind StripeHash = StripeHashKind::Mix;
-  /// Single-fence commit publication where the policy has a validation
-  /// step to order (orec-eager; see OrecEagerPolicy::commit). Policies
-  /// without commit validation publish identically either way.
+  /// TL2 only: lazy (the paper's configuration) or eager conflict
+  /// detection.
+  ConflictDetection Detection = ConflictDetection::Lazy;
+  /// Single-fence commit (2PLSF/zardoshti "SINGLEFENCEOPT" lineage) where
+  /// the policy has a validation step to order (TL2, orec-eager; see
+  /// OrecEagerPolicy::publish): validate, write back, then advance the
+  /// clock and publish the versions with relaxed stores behind one
+  /// release fence. Policies without commit validation publish
+  /// identically either way.
   bool SingleFenceCommit = true;
   BackoffKind Backoff = BackoffKind::Yield;
-  /// Scheduler perturbation, as Tl2Config::PreemptShift. 0 = off.
+  /// Scheduler perturbation: when non-zero, each transactional access
+  /// yields the CPU with probability 2^-PreemptShift, so transactions
+  /// overlap even with fewer cores than workers (see
+  /// TxnExecutor::maybePreempt and DESIGN.md, substitutions). 0 = off.
   unsigned PreemptShift = 0;
   /// Bounded spin (iterations) a TLRW writer waits for reader bytes to
   /// drain before giving up and aborting itself; bounds the blocking a
   /// visible-reader engine can do while holding a write lock, so
   /// cross-held reader/writer cycles resolve by abort, not deadlock.
   unsigned LockSpinBound = 128;
-  /// Accumulate per-attempt wall-clock latency into the stats shards
-  /// (see Tl2Config::TrackAttemptLatency).
+  /// When true, every attempt's wall-clock latency is accumulated into
+  /// the per-thread stats shard (two steady_clock reads per attempt).
+  /// Off by default so microbenchmarks measure bare STM cost; the
+  /// experiment harness turns it on (see core/Runner.h).
   bool TrackAttemptLatency = false;
   /// Fault injection for the checker self-test; all off by default.
   EngineFaultInjection Fault;
@@ -114,9 +152,10 @@ struct EngineConfig {
 
 template <typename Policy> class EngineTxn;
 
-/// One engine-family runtime instance: shared state plus instrumentation
-/// hooks, mirroring Tl2Stm's surface so GuideController, StatsShard
-/// export, and the check harness plug in unchanged.
+/// One engine-family runtime instance: the shared state (clock, lock
+/// table, ring, epochs) plus the instrumentation hooks GuideController,
+/// StatsShard export and the check harness plug into. Workloads create
+/// one per run.
 template <typename Policy> class EngineStm {
 public:
   using Table = typename Policy::Table;
@@ -186,7 +225,16 @@ public:
 
   EngineTxn(Stm &Stm_, ThreadId Thread)
       : TxnExecutor<EngineTxn>(Thread), S(Stm_), Thread(Thread),
-        Shard(&Stm_.stats().shard(Thread)) {}
+        Shard(&Stm_.stats().shard(Thread)) {
+    // Every attempt writes this thread's epoch slot; an id past the slot
+    // table would corrupt memory, so refuse it in every build.
+    if (Thread >= EpochManager::MaxThreads) {
+      std::fprintf(stderr, "fatal: thread id %u exceeds the engine limit of "
+                           "%zu threads\n",
+                   unsigned{Thread}, EpochManager::MaxThreads);
+      std::abort();
+    }
+  }
 
   EngineTxn(const EngineTxn &) = delete;
   EngineTxn &operator=(const EngineTxn &) = delete;
@@ -197,8 +245,9 @@ public:
     return Policy::load(*this, Word);
   }
 
-  /// Transactional write of a raw 64-bit word (in place, under the
-  /// policy's encounter-time lock; the undo log holds the old value).
+  /// Transactional write of a raw 64-bit word (buffered or in place,
+  /// as the policy decides; in-place writes log the old value in the
+  /// undo log).
   void storeWord(std::atomic<uint64_t> &Word, uint64_t Value) {
     this->maybePreempt();
     Policy::store(*this, Word, Value);
@@ -351,8 +400,9 @@ private:
   TxId CurrentTx = 0;
   uint64_t Rv = 0;
   /// (address, previous value) pairs, restored in reverse on abort.
-  /// Shared across policies; inline capacity for the same reasons as
-  /// Tl2Txn's logs.
+  /// Shared across policies. MiniVector, like the policies' logs: the
+  /// inline capacity covers common transactions without the heap,
+  /// clear() is O(1), and heap growth is kept across retries.
   MiniVector<std::pair<std::atomic<uint64_t> *, uint64_t>, 32> Undo;
   State PS;
 };

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Umbrella header for the engine family: include this to get every
-/// policy plus the name registry the tools use to spell engines on the
-/// command line. The hand-written TL2 (src/stm) and LibTm (src/libtm)
-/// runtimes are the other members of the family — they share the
-/// executor, clock, ring, stats, and observer surfaces but keep their
-/// own descriptors; see DESIGN.md §4i for the full matrix.
+/// policy on the chassis — TL2 (lazy orecs, the paper's runtime),
+/// orec-eager, TLRW and 2PL-undo. LibTm (src/libtm) is the one
+/// stand-alone runtime outside the sharded tier: it shares the executor,
+/// clock, ring, stats and observer surfaces but keeps its own
+/// object-based descriptor. See DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,31 +19,8 @@
 #define GSTM_ENGINE_ENGINES_H
 
 #include "engine/OrecEager.h"
+#include "engine/Tl2.h"
 #include "engine/Tlrw.h"
 #include "engine/TwoPl.h"
-
-#include <type_traits>
-
-namespace gstm {
-
-/// Command-line names of the policy-templated engines, in the order the
-/// tools enumerate them.
-inline constexpr const char *EngineFamilyNames[] = {
-    OrecEagerPolicy::Name, // "orec-eager"
-    TlrwPolicy::Name,      // "tlrw"
-    TwoPlPolicy::Name,     // "2pl-undo"
-};
-
-/// Applies \p Fn to each policy type (as a std::type_identity tag), for
-/// code that iterates the family generically:
-/// `forEachEnginePolicy([&](auto Tag) {
-///    using Policy = typename decltype(Tag)::type; ... });`
-template <typename FnT> void forEachEnginePolicy(FnT &&Fn) {
-  Fn(std::type_identity<OrecEagerPolicy>{});
-  Fn(std::type_identity<TlrwPolicy>{});
-  Fn(std::type_identity<TwoPlPolicy>{});
-}
-
-} // namespace gstm
 
 #endif // GSTM_ENGINE_ENGINES_H

@@ -25,6 +25,11 @@
 /// past the orec, the old values are back and the orec still carries its
 /// pre-lock version.
 ///
+/// TL2 (engine/Tl2.h) derives from this policy: its eager mode is this
+/// algorithm unchanged, and its lazy mode reuses the orec read, the
+/// read-set validation and the commit tail (publish), adding only the
+/// write buffer and commit-time locking.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_ENGINE_ORECEAGER_H
@@ -43,8 +48,9 @@ struct OrecEagerPolicy {
   static constexpr const char *Name = "orec-eager";
   static constexpr unsigned DefaultTableBits = 20;
 
-  /// An orec this attempt locked at encounter time, with its pre-lock
-  /// word for release-on-abort and self-read validation.
+  /// An orec this attempt holds (locked at encounter time here, at
+  /// commit time by lazy TL2), with its pre-lock word for
+  /// release-on-abort and self-read validation.
   struct Held {
     size_t StripeIndex;
     uint64_t PreviousWord;
@@ -53,7 +59,7 @@ struct OrecEagerPolicy {
   struct TxnState {
     /// Orecs of invisible reads, revalidated at commit.
     MiniVector<const std::atomic<uint64_t> *, 64> ReadSet;
-    /// Encounter-time write locks; sorted by index at commit so the
+    /// Held write locks; sorted by index before publish so the
     /// validation slow pass can binary-search self-held orecs.
     MiniVector<Held, 32> Acquired;
 
@@ -136,60 +142,20 @@ struct OrecEagerPolicy {
   }
 
   template <typename TxnT> static uint64_t commit(TxnT &Tx) {
-    auto &S = Tx.rt();
     TxnState &St = Tx.state();
-
     // Read-only: every read was validated against rv when it happened,
     // so the snapshot is consistent and nothing needs publishing.
     if (St.Acquired.empty())
       return 0;
-
     // validate's slow pass binary-searches Acquired by orec address;
     // encounter-time acquisition happens in program order, so normalize.
     std::sort(St.Acquired.begin(), St.Acquired.end(),
               [](const Held &A, const Held &B) {
                 return A.StripeIndex < B.StripeIndex;
               });
-
-    const EngineConfig &Cfg = S.config();
-    uint64_t Wv;
-    if (Cfg.SingleFenceCommit) {
-      // Single-fence ordering (the TL2 lineage's SINGLEFENCEOPT): the
-      // seq_cst fence globally orders our encounter-time orec CASes
-      // before the validation loads — without it, store-buffering lets
-      // two cyclically conflicting writers each miss the other's lock
-      // and both commit (see the matching fence in Tl2Txn). Validation
-      // is unconditional here: the wv==rv+1 elision reasons about the
-      // clock advance sitting between acquisition and validation, and
-      // this ordering moves the advance after it.
-      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::commit single-fence commit)
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (!Cfg.Fault.SkipReadValidation)
-        validate(Tx);
-      std::atomic_thread_fence(std::memory_order_release);
-      Wv = S.clock().advance();
-      // Publish attribution before the new version becomes visible so a
-      // victim observing Wv can already resolve the committer.
-      S.commitRing().record(Wv, Tx.self());
-      for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_relaxed);
-    } else {
-      Wv = S.clock().advance();
-      // TL2 elision, sound in eager mode too: wv == rv+1 means no other
-      // transaction committed between our rv sample and our advance,
-      // and only commits can change an orec version out from under a
-      // validated read (aborting writers restore the pre-lock word).
-      if (Wv != Tx.rv() + 1 && !Cfg.Fault.SkipReadValidation)
-        validate(Tx);
-      S.commitRing().record(Wv, Tx.self());
-      for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_release);
-    }
-    St.Acquired.clear();
-    Tx.undoLog().clear();
-    return Wv;
+    // The undo log stays until the next begin: the contention manager
+    // counts its entries as the committed attempt's write opens.
+    return publish(Tx, [] {});
   }
 
   /// Abort rollback: replay the undo log while the orecs are still held
@@ -205,11 +171,81 @@ struct OrecEagerPolicy {
     St.Acquired.clear();
   }
 
-private:
-  /// Commit-time read-set revalidation, structured exactly like
-  /// Tl2Txn::validateReadSet: a branch-free OR-reduction fast pass, and
-  /// an attribution slow pass only when something is locked or too new.
-  /// Self-held orecs validate against their pre-lock word.
+protected:
+  /// The commit tail TL2 and orec-eager share. Entered holding every
+  /// written orec (Acquired, sorted by index): validate the read set, run
+  /// \p Writeback (TL2's buffered writes; orec-eager wrote in place
+  /// already), stamp wv, record attribution, publish the versions.
+  template <typename TxnT, typename WritebackFn>
+  static uint64_t publish(TxnT &Tx, WritebackFn &&Writeback) {
+    auto &S = Tx.rt();
+    TxnState &St = Tx.state();
+    const EngineConfig &Cfg = S.config();
+    uint64_t Wv;
+    // The torn-publish mutant (Tl2Policy::commit) tears the standard
+    // ordering, so it pins that one.
+    if (Cfg.SingleFenceCommit && !Cfg.Fault.TornVersionPublish) {
+      // Single-fence ordering (SINGLEFENCEOPT): validate, write back, and
+      // only then advance the clock and publish the versions — the N
+      // release-store publish loop becomes relaxed stores behind one
+      // release fence.
+      //
+      // Validation is UNCONDITIONAL here. The standard ordering's
+      // `wv == rv+1` elision reasons "no commit interleaved between my rv
+      // sample and my clock advance"; with the advance moved after
+      // writeback, two cyclically conflicting writers could both observe
+      // a quiescent clock, both skip validation, and both commit a lost
+      // update. The branch-free fast pass keeps the check cheap.
+      //
+      // The seq_cst fence is the one ordering this path cannot drop: the
+      // standard ordering's seq_cst clock fetch_add sits between lock
+      // acquisition and validation, so each committer's lock CAS is
+      // globally ordered before the other's validation loads. Without
+      // it, acq_rel CAS + acquire loads permit store-buffering — two
+      // cyclically conflicting committers each miss the other's freshly
+      // taken lock, both validate clean, and both commit a lost update
+      // (real on POWER; invisible on x86/ARMv8, so check_fuzz cannot
+      // catch it).
+      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::publish single-fence commit of tl2 and orec-eager)
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (!Cfg.Fault.SkipReadValidation)
+        validate(Tx);
+      Writeback();
+      // One fence orders the writeback (or the in-place stores) before
+      // every version publish: a reader whose acquire load of an orec
+      // observes one of the relaxed stores below synchronizes with this
+      // fence ([atomics.fences]) and therefore sees the new data.
+      std::atomic_thread_fence(std::memory_order_release);
+      Wv = S.clock().advance();
+      // Publish attribution before the new version becomes visible so a
+      // victim observing Wv can already resolve the committer.
+      S.commitRing().record(Wv, Tx.self());
+      for (const Held &L : St.Acquired)
+        S.table().stripeAt(L.StripeIndex).store(
+            LockTable::encodeVersion(Wv), std::memory_order_relaxed);
+    } else {
+      Wv = S.clock().advance();
+      // TL2 elision: wv == rv+1 means no other transaction committed
+      // between our rv sample and our advance, and only commits can
+      // change an orec version out from under a validated read
+      // (aborting writers restore the pre-lock word).
+      if (Wv != Tx.rv() + 1 && !Cfg.Fault.SkipReadValidation)
+        validate(Tx);
+      S.commitRing().record(Wv, Tx.self());
+      Writeback();
+      for (const Held &L : St.Acquired)
+        S.table().stripeAt(L.StripeIndex).store(
+            LockTable::encodeVersion(Wv), std::memory_order_release);
+    }
+    St.Acquired.clear();
+    return Wv;
+  }
+
+  /// Commit-time read-set revalidation: every read orec must still be
+  /// unlocked (or self-locked at a pre-lock version <= rv) and at a
+  /// version <= rv; throws on conflict. A branch-free OR-reduction pass
+  /// clears the common all-clean case without a single conditional; only
+  /// a suspicious read set pays the per-orec attribution walk.
   template <typename TxnT> static void validate(TxnT &Tx) {
     TxnState &St = Tx.state();
     const std::atomic<uint64_t> *const *Stripes = St.ReadSet.data();
@@ -224,6 +260,13 @@ private:
     if (Suspicious == 0)
       return;
 
+    // Slow pass with attribution. Orecs this commit holds itself
+    // (read-then-written locations) always land here; their reads are
+    // validated against the pre-lock word, or a commit that slid in
+    // between our read and our lock acquisition would go undetected and
+    // be silently overwritten. Sound even though the words are re-read:
+    // versions only grow, and an orec that went clean in between is
+    // genuinely clean.
     auto &S = Tx.rt();
     TxThreadPair Self = Tx.self();
     for (const std::atomic<uint64_t> *Stripe : St.ReadSet) {
@@ -232,6 +275,8 @@ private:
       if (State.Locked) {
         if (State.Owner != Self)
           Tx.abortOnOwner(State.Owner, AbortSite::CommitValidate);
+        // Acquired is sorted by index and the table is one contiguous
+        // array, so pointer order matches index order.
         auto It = std::lower_bound(
             St.Acquired.begin(), St.Acquired.end(), Stripe,
             [&S](const Held &L, const std::atomic<uint64_t> *Ptr) {

@@ -30,6 +30,11 @@
 /// fields are what the descriptor's abort path records for the contention
 /// manager.
 ///
+/// Every attempt also gets a process-wide unique serial, and the
+/// descriptor remembers the serial of its last committed attempt; with
+/// these a per-thread allocator (stamp/TmPool.h) can tell an aborted
+/// attempt's allocations, never published, from a committed one's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_ENGINE_TXNEXECUTOR_H
@@ -41,6 +46,7 @@
 #include "support/Ids.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -64,6 +70,9 @@ enum class BackoffKind : uint8_t {
   Exponential,
 };
 
+/// Source of descriptor ids for attempt serials (TxnExecutor).
+inline std::atomic<uint64_t> NextDescriptorId{1};
+
 /// CRTP base implementing the engine-family retry loop. See the file
 /// comment for the Derived contract.
 template <typename Derived> class TxnExecutor {
@@ -84,10 +93,12 @@ public:
       std::chrono::steady_clock::time_point AttemptStart;
       if (TrackLatency)
         AttemptStart = std::chrono::steady_clock::now();
+      ++Serial;
       D.begin(Tx);
       try {
         Body(D);
         D.commitOrThrow(Attempts);
+        LastCommit = Serial;
         if (TrackLatency)
           recordAttemptLatency(AttemptStart);
         if (Cm)
@@ -110,10 +121,21 @@ public:
     }
   }
 
+  /// Serial of the attempt in flight (or of the last one): unique
+  /// process-wide, increasing per descriptor; the high 32 bits identify
+  /// the descriptor.
+  uint64_t attemptSerial() const { return Serial; }
+  /// Serial of this descriptor's last committed attempt (below every
+  /// serial of this descriptor before its first commit).
+  uint64_t lastCommitSerial() const { return LastCommit; }
+
 protected:
   explicit TxnExecutor(ThreadId Thread)
       : PreemptLcg(0x2545f4914f6cdd1dULL ^
-                   (uint64_t{Thread} * 0x9e3779b97f4a7c15ULL)) {}
+                   (uint64_t{Thread} * 0x9e3779b97f4a7c15ULL)),
+        Serial(NextDescriptorId.fetch_add(1, std::memory_order_relaxed)
+               << 32),
+        LastCommit(Serial) {}
 
   /// Scheduler perturbation: when the config's PreemptShift is non-zero,
   /// yields the CPU with probability 2^-PreemptShift per call. On a
@@ -168,6 +190,8 @@ private:
   }
 
   uint64_t PreemptLcg;
+  uint64_t Serial;
+  uint64_t LastCommit;
 };
 
 } // namespace gstm

@@ -124,7 +124,7 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
     // orders our meta-word lock CAS before any other committer's
     // validation loads. Without it, store-buffering lets two cyclically
     // conflicting writers each miss the other's lock and both commit
-    // (see the matching fence in Tl2Txn::commitOrThrow).
+    // (see the matching fence in OrecEagerPolicy::publish).
     // stm-order: fence(seq_cst) before(validateReadSet) label(LibTxn::commitOrThrow single-fence commit)
     std::atomic_thread_fence(std::memory_order_seq_cst);
     validateReadSet(Self);
@@ -176,7 +176,7 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
 }
 
 void LibTxn::validateReadSet(TxThreadPair Self) {
-  // Fast pass: branch-free OR-reduction, as in Tl2Txn::validateReadSet.
+  // Fast pass: branch-free OR-reduction, as in OrecEagerPolicy::validate.
   // A metadata word is suspicious iff locked (bit 0) or newer than rv.
   TObjBase *const *Objs = ReadSet.data();
   const size_t N = ReadSet.size();

@@ -118,19 +118,19 @@ private:
 /// Construction-time configuration of a LibTm runtime.
 struct LibTmConfig {
   unsigned CommitRingBits = 13;
-  /// Single-fence commit, as in Tl2Config::SingleFenceCommit: validate,
+  /// Single-fence commit, as in EngineConfig::SingleFenceCommit: validate,
   /// write back, then advance the clock and publish every object's
   /// metadata with relaxed stores behind one release fence. Read-set
   /// validation runs unconditionally in this mode (the `wv == rv+1`
   /// elision is unsound once the clock advances after writeback).
   bool SingleFenceCommit = true;
   BackoffKind Backoff = BackoffKind::Yield;
-  /// Scheduler perturbation, as in Tl2Config::PreemptShift: yield with
+  /// Scheduler perturbation, as in EngineConfig::PreemptShift: yield with
   /// probability 2^-PreemptShift per object access to restore
   /// multicore-like transaction overlap on undersized hosts. 0 = off.
   unsigned PreemptShift = 0;
   /// Accumulate per-attempt wall-clock latency into the stats shards
-  /// (see Tl2Config::TrackAttemptLatency).
+  /// (see EngineConfig::TrackAttemptLatency).
   bool TrackAttemptLatency = false;
 };
 

@@ -9,8 +9,9 @@
 /// Configuration of the sharded STM tier (shard/Sharded.h): how many
 /// shard contexts partition the orec/version space, how addresses map to
 /// their home shard, and whether model-steered placement is armed. The
-/// shape deliberately mirrors Tl2Config so existing harness code can
-/// treat a ShardedStm like one more runtime configuration.
+/// shape deliberately mirrors EngineConfig (TL2's configuration) so
+/// existing harness code can treat a ShardedStm like one more runtime
+/// configuration.
 ///
 /// shardConfigCanonical() renders the knobs that change transactional
 /// behavior into the canonical `key=value;` string ModelStore hashes into
@@ -76,15 +77,15 @@ struct ShardConfig {
   /// flag is part of the canonical config string: steered and unsteered
   /// models of the same workload are distinct keys.
   bool Steering = false;
-  /// Per-shard lock-table stripes (2^Bits each). Two bits below the Tl2
-  /// default: the table is per shard, so total stripe count scales with
-  /// ShardCount.
+  /// Per-shard lock-table stripes (2^Bits each). Two bits below TL2's
+  /// default table (Tl2Policy::DefaultTableBits): the table is per shard,
+  /// so total stripe count scales with ShardCount.
   unsigned LockTableBits = 18;
   /// Per-shard commit-ring slots (2^Bits each).
   unsigned CommitRingBits = 13;
   /// Per-shard stripe hash (LockTable's address-to-stripe mapping).
   StripeHashKind StripeHash = StripeHashKind::Mix;
-  /// Single-fence commit ordering, exactly as Tl2Config::SingleFenceCommit:
+  /// Single-fence commit ordering, exactly as EngineConfig::SingleFenceCommit:
   /// validate, write back, then advance and publish every participating
   /// shard's stripe versions with relaxed stores behind one release
   /// fence. Ignored (standard ordering) when Fault.TornCoordinatedPublish
@@ -97,9 +98,9 @@ struct ShardConfig {
   /// counts into StatsShard::PrepareRetries.
   unsigned PrepareSpinLimit = 64;
   BackoffKind Backoff = BackoffKind::Yield;
-  /// Scheduler perturbation, as Tl2Config::PreemptShift. 0 = off.
+  /// Scheduler perturbation, as EngineConfig::PreemptShift. 0 = off.
   unsigned PreemptShift = 0;
-  /// Per-attempt wall-clock latency accumulation, as Tl2Config.
+  /// Per-attempt wall-clock latency accumulation, as EngineConfig.
   bool TrackAttemptLatency = false;
   /// Fault injection for the checker self-test; all off by default.
   ShardFaultInjection Fault;

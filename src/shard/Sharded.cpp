@@ -417,7 +417,7 @@ void ShardedTxn::commitOrThrow(uint32_t PriorAborts) {
 
 void ShardedTxn::validateReadSet(TxThreadPair Self) {
   // Fast pass: branch-free OR-reduction over the read set, exactly as
-  // Tl2Txn::validateReadSet — suspicious iff locked (bit 0) or newer
+  // OrecEagerPolicy::validate — suspicious iff locked (bit 0) or newer
   // than rv.
   const ReadEntry *Entries = ReadSet.data();
   const size_t N = ReadSet.size();

@@ -70,10 +70,9 @@ void GenomeWorkload::setup(Tl2Stm &Stm, unsigned NumThreads, uint64_t Seed) {
   ReferenceUnique = Reference.size();
 
   // Pool: dedup nodes + prefix nodes + 2 link nodes per unique segment,
-  // plus generous headroom for nodes leaked by aborted insert attempts —
-  // the counter-contended insert transactions retry several times at
-  // high thread counts and each validation-failed attempt strands one
-  // node (TmPool discipline).
+  // plus generous headroom. Aborted insert attempts hand their nodes to
+  // the thread's next attempt (TmPool::allocate), so the headroom covers
+  // only nodes an abort strands when the retry takes another path.
   NodePool = std::make_unique<TmList::Pool>(
       static_cast<uint32_t>(16 * Params.NumSegments + 4096));
   // Bucket count tuned well below the segment count so dedup inserts

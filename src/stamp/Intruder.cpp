@@ -75,8 +75,9 @@ void IntruderWorkload::setup(Tl2Stm &Stm, unsigned NumThreads,
   for (uint64_t P : Packets)
     PacketQueue->pushDirect(P);
   CompletedQueue = std::make_unique<TmQueue>(Params.NumFlows + 1);
-  // One reassembly node per flow plus headroom for nodes leaked by
-  // aborted decoder attempts (the decoder is the hot conflict site).
+  // One reassembly node per flow plus headroom for nodes an aborted
+  // decoder attempt strands when its retry takes another path (the
+  // decoder is the hot conflict site).
   NodePool = std::make_unique<TmList::Pool>(Params.NumFlows * 6 + 64);
   Reassembly = std::make_unique<TmHashMap>(
       std::max<uint32_t>(32, Params.NumFlows / 4));

@@ -28,7 +28,7 @@ bool TmList::insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value) {
   if (Cur != Pool::Null && Tx.load(Nodes[Cur].Key) == Key)
     return false;
 
-  uint32_t Fresh = Nodes.allocate();
+  uint32_t Fresh = Nodes.allocate(Tx);
   TmListNode &N = Nodes[Fresh];
   Tx.store(N.Key, Key);
   Tx.store(N.Value, Value);
@@ -49,7 +49,7 @@ bool TmList::insertOrAssign(Tl2Txn &Tx, Pool &Nodes, uint64_t Key,
     return false;
   }
 
-  uint32_t Fresh = Nodes.allocate();
+  uint32_t Fresh = Nodes.allocate(Tx);
   TmListNode &N = Nodes[Fresh];
   Tx.store(N.Key, Key);
   Tx.store(N.Value, Value);

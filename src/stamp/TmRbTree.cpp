@@ -98,7 +98,7 @@ bool TmRbTree::insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value) {
     X = Key < K ? left(Tx, X) : right(Tx, X);
   }
 
-  uint32_t Z = P.allocate();
+  uint32_t Z = P.allocate(Tx);
   TmRbNode &N = P[Z];
   Tx.store(N.Key, Key);
   Tx.store(N.Value, Value);

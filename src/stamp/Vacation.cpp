@@ -40,16 +40,17 @@ void VacationWorkload::setup(Tl2Stm &Stm, unsigned NumThreads,
   RunSeed = Seed;
   SplitMix64 Rng(Seed ^ 0xabcdef1234567890ULL);
 
-  // Tree nodes: assets + customer (re-)inserts + NIL sentinels. Aborted
-  // attempts leak their nodes (TmPool discipline), so budget one node per
-  // operation *attempt*: with the observed abort ratios, 2x the operation
-  // count is ample headroom.
+  // Tree nodes: assets + customer (re-)inserts + NIL sentinels. An
+  // aborted attempt's nodes go to the thread's next attempt
+  // (TmPool::allocate), so retries do not eat into the budget; 2x the
+  // operation count covers the committed inserts.
   uint32_t TotalOps = Params.OpsPerThread * NumThreads;
   uint32_t TreeCapacity = NumTables * Params.NumRelations +
                           Params.NumCustomers + 2 * TotalOps +
                           NumTables + 2;
   TreePool = std::make_unique<TmRbTree::Pool>(TreeCapacity);
-  // Reservation nodes: one per reserve attempt (never recycled).
+  // Reservation nodes: at most one per committed reserve (unlinked
+  // nodes are never recycled).
   ListPool = std::make_unique<TmList::Pool>(4 * TotalOps + 64);
 
   Tables.clear();

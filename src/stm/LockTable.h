@@ -32,7 +32,7 @@
 
 namespace gstm {
 
-/// How a word address maps to its stripe index (Tl2Config::StripeHash).
+/// How a word address maps to its stripe index (EngineConfig::StripeHash).
 enum class StripeHashKind : uint8_t {
   /// Single Fibonacci multiply, index from the top bits. One cycle-ish,
   /// but consecutive words land on consecutive-ish stripes and the low

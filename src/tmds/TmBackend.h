@@ -46,48 +46,6 @@
 
 namespace gstm {
 
-/// Word-based TL2 backend: cells are TVar<T>, metadata lives in the
-/// runtime's shared stripe table.
-struct Tl2Backend {
-  using Stm = Tl2Stm;
-  using Txn = Tl2Txn;
-  template <typename T> using Cell = TVar<T>;
-
-  static constexpr const char *Name = "tl2";
-
-  template <typename T> static T load(Txn &Tx, const Cell<T> &C) {
-    return Tx.load(C);
-  }
-  template <typename T>
-  static void store(Txn &Tx, Cell<T> &C, std::type_identity_t<T> Value) {
-    Tx.store(C, Value);
-  }
-  template <typename T> static T loadDirect(const Cell<T> &C) {
-    return C.loadDirect();
-  }
-  template <typename T>
-  static void storeDirect(Cell<T> &C, std::type_identity_t<T> Value) {
-    C.storeDirect(Value);
-  }
-
-  /// Address / raw value as seen by TxAccessObserver callbacks.
-  template <typename T> static const void *cellAddr(const Cell<T> &C) {
-    return &C.word();
-  }
-  template <typename T> static uint64_t cellRaw(const Cell<T> &C) {
-    return C.word().load(std::memory_order_relaxed);
-  }
-
-  /// True when the stripe guarding \p C is still locked (post-run
-  /// residue probe; quiescent use only).
-  template <typename T> static bool cellLocked(Stm &S, const Cell<T> &C) {
-    auto &Word = const_cast<Cell<T> &>(C).word();
-    return LockTable::decode(
-               S.lockTable().stripeFor(&Word).load(std::memory_order_relaxed))
-        .Locked;
-  }
-};
-
 /// Object-based LibTm backend: cells are single-payload-word TObj<T> with
 /// per-object embedded metadata.
 struct LibTmBackend {
@@ -130,9 +88,9 @@ struct LibTmBackend {
 };
 
 /// Word-based backend over the policy-templated engine family
-/// (src/engine): cells are TVar<T> exactly as on TL2, so cellAddr and
-/// cellRaw report the same encoding; only the per-cell residue probe
-/// depends on the policy's table type (stripe word vs ByteLock entry).
+/// (src/engine, TL2 included): cells are TVar<T>, metadata lives in the
+/// runtime's shared table; only the per-cell residue probe depends on
+/// the policy's table type (stripe word vs ByteLock entry).
 template <typename Policy> struct EngineBackend {
   using Stm = EngineStm<Policy>;
   using Txn = EngineTxn<Policy>;
@@ -176,6 +134,7 @@ template <typename Policy> struct EngineBackend {
   }
 };
 
+using Tl2Backend = EngineBackend<Tl2Policy>;
 using OrecEagerBackend = EngineBackend<OrecEagerPolicy>;
 using TlrwBackend = EngineBackend<TlrwPolicy>;
 using TwoPlBackend = EngineBackend<TwoPlPolicy>;

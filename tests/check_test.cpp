@@ -9,7 +9,7 @@
 // the HistoryRecorder against a live TL2 runtime, the checkers against
 // hand-built histories with known verdicts, and the mutation self-test —
 // the fuzzer must flag the two deliberately broken TL2 variants
-// (Tl2FaultInjection) while passing all real backends.
+// (EngineFaultInjection) while passing all real backends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +83,7 @@ TEST(HistoryRecorderTest, CapturesCommitsAbortsAndAccesses) {
     EXPECT_LT(H.Attempts[I - 1].BeginSeq, H.Attempts[I].BeginSeq);
 
   EXPECT_TRUE(checkAll(H).ok()) << checkAll(H).Reason;
-  EXPECT_TRUE(lockTableQuiescent(Stm.lockTable()));
+  EXPECT_TRUE(lockTableQuiescent(Stm.table()));
 }
 
 TEST(HistoryRecorderTest, BufferedReadsDoNotBecomeGlobalReads) {

@@ -441,7 +441,8 @@ TEST(LintSelfScan, EngineHeadersYieldRegions) {
 
 TEST(LintSelfScan, CommitPathContractsPresent) {
   // The store-buffering fence contracts (commit 5343567) must stay
-  // pinned to all three single-fence commit paths.
+  // pinned to both single-fence commit paths: the commit tail TL2 and
+  // orec-eager share (OrecEagerPolicy::publish) and LibTm's.
   std::vector<SourceFile> Files;
   std::string Error;
   ASSERT_TRUE(collectSources(GSTM_LINT_SOURCE_DIR,
@@ -450,8 +451,8 @@ TEST(LintSelfScan, CommitPathContractsPresent) {
       << Error;
   LintResult R = lintSources(Files);
   EXPECT_TRUE(R.clean()) << toText(R);
-  EXPECT_GE(R.Stats.OrderContracts, 8u);
-  EXPECT_GE(R.Stats.Fences, 7u);
+  EXPECT_GE(R.Stats.OrderContracts, 7u);
+  EXPECT_GE(R.Stats.Fences, 6u);
 }
 #endif // GSTM_LINT_SOURCE_DIR
 

@@ -8,6 +8,7 @@
 #include "stamp/TmPool.h"
 
 #include "stamp/TmList.h"
+#include "stamp/TmRbTree.h"
 
 #include <gtest/gtest.h>
 
@@ -90,5 +91,74 @@ TEST(TmPoolTest, ListNodesFromSharedPoolStayIndependent) {
       EXPECT_EQ(A.find(Tx, Pool, K).value(), K);
       EXPECT_EQ(B.find(Tx, Pool, K).value(), K * 2);
     }
+  });
+}
+
+// Aborted attempts must not leak nodes: an attempt's allocations are
+// never published before it commits, so the retry reuses them. Each body
+// below aborts its first 10 000 attempts on purpose, into a pool with
+// room for exactly one insert.
+constexpr int PlannedAborts = 10000;
+
+TEST(TmPoolTest, AbortedListInsertsReuseTheirNode) {
+  Tl2Stm Stm;
+  TmList::Pool Pool(1);
+  TmList L;
+  Tl2Txn Txn(Stm, 0);
+  int Attempt = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(L.insert(Tx, Pool, 7, 70));
+    if (Attempt++ < PlannedAborts)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Attempt, PlannedAborts + 1);
+  EXPECT_EQ(Pool.used(), 1u);
+  Txn.run(1, [&](Tl2Txn &Tx) {
+    EXPECT_EQ(L.find(Tx, Pool, 7).value(), 70u);
+    EXPECT_EQ(L.size(Tx, Pool), 1u);
+  });
+}
+
+TEST(TmPoolTest, AbortedTreeInsertsReuseTheirNode) {
+  Tl2Stm Stm;
+  TmRbTree::Pool Pool(2); // the NIL sentinel plus one node
+  TmRbTree Tree(Pool);
+  Tl2Txn Txn(Stm, 0);
+  int Attempt = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(Tree.insert(Tx, 7, 70));
+    if (Attempt++ < PlannedAborts)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Pool.used(), 2u);
+  EXPECT_TRUE(Tree.validateDirect());
+  Txn.run(1, [&](Tl2Txn &Tx) {
+    EXPECT_EQ(Tree.find(Tx, 7).value(), 70u);
+  });
+}
+
+TEST(TmPoolTest, CommittedNodesAreNeverHandedOutAgain) {
+  // A committed attempt's node is live; only aborted attempts' nodes
+  // come back, also across descriptors sharing a thread id.
+  Tl2Stm Stm;
+  TmList::Pool Pool(3);
+  TmList L;
+  {
+    Tl2Txn Setup(Stm, 0);
+    Setup.run(0, [&](Tl2Txn &Tx) { L.insert(Tx, Pool, 1, 10); });
+  }
+  Tl2Txn Txn(Stm, 0);
+  int Attempt = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    L.insert(Tx, Pool, 2, 20);
+    if (Attempt++ == 0)
+      Tx.retryAbort();
+  });
+  Txn.run(0, [&](Tl2Txn &Tx) { L.insert(Tx, Pool, 3, 30); });
+  EXPECT_EQ(Pool.used(), 3u);
+  Txn.run(1, [&](Tl2Txn &Tx) {
+    EXPECT_EQ(L.size(Tx, Pool), 3u);
+    for (uint64_t K = 1; K <= 3; ++K)
+      EXPECT_EQ(L.find(Tx, Pool, K).value(), K * 10);
   });
 }

@@ -318,7 +318,7 @@ TEST(StatsAttributionTest, LockedStripeAbortTaggedLockAcquireSite) {
 
   // Hold Z's stripe lock as a foreign transaction so the victim's commit
   // fails at lock acquisition (deterministically, without racing threads).
-  std::atomic<uint64_t> &Stripe = Stm.lockTable().stripeFor(&Z.word());
+  std::atomic<uint64_t> &Stripe = Stm.table().stripeFor(&Z.word());
   uint64_t Unlocked = Stripe.load();
   TxThreadPair Foreign = packPair(/*Tx=*/42, /*Thread=*/5);
 

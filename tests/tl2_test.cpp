@@ -144,7 +144,7 @@ TEST(Tl2Test, WriteSetDedupesSameLocation) {
   Txn.run(0, [&](Tl2Txn &Tx) {
     for (uint64_t I = 1; I <= 100; ++I)
       Tx.store(X, I);
-    EXPECT_EQ(Tx.writeSetSize(), 1u);
+    EXPECT_EQ(Tx.state().WriteLog.size(), 1u);
   });
   EXPECT_EQ(X.loadDirect(), 100u);
 }

@@ -68,8 +68,8 @@ int main(int Argc, char **Argv) {
           {"inject-torn-publish", "",
            "fault injection: publish torn versions (checkers must object)"},
           {"inject-skip-undo", "",
-           "fault injection: skip undo replay on abort, orec-eager + "
-           "2pl-undo (checkers must object)"},
+           "fault injection: skip undo replay on abort, tl2-eager + "
+           "orec-eager + 2pl-undo (checkers must object)"},
           {"inject-skip-drain", "",
            "fault injection: skip the tlrw writer's reader-byte drain "
            "(checkers must object)"},
@@ -100,14 +100,13 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned>(Opts.getInt("perturb-shift", Cfg.PerturbShift));
   // Fault injection, for watching the checkers catch a broken STM by hand
   // (the mutation self-test in tests/check_test.cpp automates this).
+  // Skip-validation and torn-publish break the commit TL2 and orec-eager
+  // share; the other two target engine-specific safety mechanisms (undo
+  // replay, reader-byte drain).
   Cfg.Fault.SkipReadValidation = Opts.getBool("inject-skip-validation", false);
   Cfg.Fault.TornVersionPublish = Opts.getBool("inject-torn-publish", false);
-  // The engine-family knobs: skip-validation maps onto orec-eager's
-  // commit validation too; the other two target engine-specific safety
-  // mechanisms (undo replay, reader-byte drain).
-  Cfg.EngineFault.SkipReadValidation = Cfg.Fault.SkipReadValidation;
-  Cfg.EngineFault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
-  Cfg.EngineFault.SkipReaderDrain = Opts.getBool("inject-skip-drain", false);
+  Cfg.Fault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
+  Cfg.Fault.SkipReaderDrain = Opts.getBool("inject-skip-drain", false);
 
   FuzzBackend Only = FuzzBackend::Tl2Lazy;
   const bool All = BackendName == "all";
@@ -136,7 +135,7 @@ int main(int Argc, char **Argv) {
   }
   if (WorkloadName != "rmw" &&
       (Cfg.Fault.SkipReadValidation || Cfg.Fault.TornVersionPublish ||
-       Cfg.EngineFault.SkipUndoReplay || Cfg.EngineFault.SkipReaderDrain)) {
+       Cfg.Fault.SkipUndoReplay || Cfg.Fault.SkipReaderDrain)) {
     std::fprintf(stderr,
                  "check_fuzz: this fault injection only applies to "
                  "--workload=rmw\n");

@@ -10,7 +10,8 @@
 //
 //   stm_lint [--root=DIR] [--json] [paths...]   # lint sources (default:
 //                                               # src tests tools bench
-//                                               # examples under --root)
+//                                               # examples perfbench
+//                                               # under --root)
 //   stm_lint --expect [paths...]                # fixture self-check:
 //                                               # expect-diag annotations
 //                                               # must match exactly
@@ -119,7 +120,7 @@ int main(int Argc, char **Argv) {
   const std::string Root = Opts.getString("root", ".");
   std::vector<std::string> Paths = Opts.positionals();
   if (Paths.empty())
-    Paths = {"src", "tests", "tools", "bench", "examples"};
+    Paths = {"src", "tests", "tools", "bench", "examples", "perfbench"};
 
   std::vector<SourceFile> Files;
   std::string Error;
