@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace gstm {
 
@@ -114,6 +115,24 @@ bool lockTableQuiescent(LockTable &Locks, std::string *Why = nullptr);
 /// later writer's drain).
 bool byteLockTableQuiescent(ByteLockTable &Locks,
                             std::string *Why = nullptr);
+
+/// Post-run lock residue of runtime \p S, "" when quiescent. A table
+/// policy gets the whole-table check above, which also catches a leaked
+/// lock on an entry no live cell maps to. LibTm owns no table (its
+/// metadata lives in the objects), so \p AnyCellLocked probes every live
+/// cell instead (the backend traits' cellLocked, tmds/TmBackend.h).
+template <typename StmT, typename AnyCellLockedFn>
+std::string lockResidue(StmT &S, AnyCellLockedFn &&AnyCellLocked) {
+  using Table = typename StmT::Table;
+  std::string Why;
+  if constexpr (std::is_same_v<Table, ByteLockTable>)
+    byteLockTableQuiescent(S.table(), &Why);
+  else if constexpr (std::is_same_v<Table, LockTable>)
+    lockTableQuiescent(S.table(), &Why);
+  else if (AnyCellLocked())
+    Why = "an object cell is still locked at quiescence";
+  return Why;
+}
 
 } // namespace gstm
 

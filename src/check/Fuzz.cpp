@@ -8,10 +8,8 @@
 #include "check/Fuzz.h"
 
 #include "check/Perturb.h"
-#include "engine/Engines.h"
-#include "libtm/LibTm.h"
-#include "stm/TVar.h"
 #include "support/SplitMix64.h"
+#include "tmds/TmBackend.h"
 
 #include <algorithm>
 #include <deque>
@@ -28,7 +26,7 @@ const char *gstm::fuzzBackendName(FuzzBackend B) {
   case FuzzBackend::Tl2Eager:
     return "tl2-eager";
   case FuzzBackend::LibTm:
-    return "libtm";
+    return LibTmPolicy::Name;
   case FuzzBackend::OrecEager:
     return OrecEagerPolicy::Name;
   case FuzzBackend::Tlrw:
@@ -131,13 +129,15 @@ void judge(FuzzRunResult &R, const History &H, const FuzzConfig &Cfg,
   R.Error = Err.str();
 }
 
-/// One runner covers every engine on the chassis: only the table type
-/// (and hence the residue probe) varies per policy. \p Detection picks
-/// TL2's mode; the other policies ignore it.
+/// One runner covers every engine on the chassis, LibTm included: the
+/// cell type (TVar or TObj) and the residue probe come from the policy's
+/// backend traits (tmds/TmBackend.h). \p Detection picks TL2's mode; the
+/// other policies ignore it.
 template <typename Policy>
 FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
                         const FuzzConfig &Cfg,
                         ConflictDetection Detection = ConflictDetection::Lazy) {
+  using B = EngineBackend<Policy>;
   FuzzRunResult R;
   R.Expected = Plan.expectedFinal();
 
@@ -149,13 +149,13 @@ FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
   C.Fault = Cfg.Fault;
   EngineStm<Policy> Stm(C);
 
-  std::deque<TVar<uint64_t>> Vars;
+  std::deque<typename B::template Cell<uint64_t>> Vars;
   for (unsigned I = 0; I < Cfg.Vars; ++I)
     Vars.emplace_back(Plan.Initial[I]);
 
   HistoryRecorder Rec(Cfg.Threads);
   for (unsigned I = 0; I < Cfg.Vars; ++I)
-    Rec.noteInitial(&Vars[I].word(), Plan.Initial[I]);
+    Rec.noteInitial(B::cellAddr(Vars[I]), Plan.Initial[I]);
   SchedulePerturber Perturb(Cfg.Threads, Seed, &Rec, Cfg.PerturbShift);
   Stm.setAccessObserver(&Perturb);
   Stm.setObserver(&Rec);
@@ -168,9 +168,9 @@ FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
       for (size_t K = 0; K < Txns.size(); ++K)
         Txn.run(static_cast<TxId>(K), [&](EngineTxn<Policy> &Tx) {
           for (const FuzzOp &Op : Txns[K].Ops) {
-            uint64_t V = Tx.load(Vars[Op.Var]);
+            uint64_t V = B::load(Tx, Vars[Op.Var]);
             if (Op.IsWrite)
-              Tx.store(Vars[Op.Var], V + Op.Delta);
+              B::store(Tx, Vars[Op.Var], V + Op.Delta);
           }
         });
     });
@@ -183,74 +183,12 @@ FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
 
   R.Final.resize(Cfg.Vars);
   for (unsigned I = 0; I < Cfg.Vars; ++I)
-    R.Final[I] = Vars[I].loadDirect();
+    R.Final[I] = B::loadDirect(Vars[I]);
 
-  std::string Residue;
-  if constexpr (std::is_same_v<typename Policy::Table, ByteLockTable>)
-    byteLockTableQuiescent(Stm.table(), &Residue);
-  else
-    lockTableQuiescent(Stm.table(), &Residue);
-  judge(R, Rec.take(), Cfg,
-        size_t{Cfg.Threads} * Cfg.TxnsPerThread, Residue);
-  return R;
-}
-
-FuzzRunResult runLibTm(const FuzzPlan &Plan, uint64_t Seed,
-                       const FuzzConfig &Cfg) {
-  FuzzRunResult R;
-  R.Expected = Plan.expectedFinal();
-
-  LibTmConfig C;
-  C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  LibTm Tm(C);
-
-  std::deque<TObj<uint64_t>> Objs;
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    Objs.emplace_back(Plan.Initial[I]);
-
-  HistoryRecorder Rec(Cfg.Threads);
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    Rec.noteInitial(&Objs[I], Plan.Initial[I]);
-  SchedulePerturber Perturb(Cfg.Threads, Seed, &Rec, Cfg.PerturbShift);
-  Tm.setAccessObserver(&Perturb);
-  Tm.setObserver(&Rec);
-
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < Cfg.Threads; ++T)
-    Workers.emplace_back([&, T] {
-      LibTxn Txn(Tm, T);
-      const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
-      for (size_t K = 0; K < Txns.size(); ++K)
-        Txn.run(static_cast<TxId>(K), [&](LibTxn &Tx) {
-          for (const FuzzOp &Op : Txns[K].Ops) {
-            uint64_t V = Tx.read(Objs[Op.Var]);
-            if (Op.IsWrite)
-              Tx.write(Objs[Op.Var], V + Op.Delta);
-          }
-        });
-    });
-  for (std::thread &W : Workers)
-    W.join();
-
-  Tm.setAccessObserver(nullptr);
-  Tm.setObserver(nullptr);
-  R.PerturbYields = Perturb.yieldCount();
-
-  R.Final.resize(Cfg.Vars);
-  for (unsigned I = 0; I < Cfg.Vars; ++I)
-    R.Final[I] = Objs[I].loadDirect();
-
-  std::string Residue;
-  for (unsigned I = 0; I < Cfg.Vars; ++I) {
-    StripeState S = LockTable::decode(
-        Objs[I].meta().load(std::memory_order_acquire));
-    if (S.Locked) {
-      Residue = "object " + std::to_string(I) +
-                " still locked at quiescence";
-      break;
-    }
-  }
+  std::string Residue = lockResidue(Stm, [&] {
+    return std::any_of(Vars.begin(), Vars.end(),
+                       [&](const auto &V) { return B::cellLocked(Stm, V); });
+  });
   judge(R, Rec.take(), Cfg,
         size_t{Cfg.Threads} * Cfg.TxnsPerThread, Residue);
   return R;
@@ -316,7 +254,7 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
   case FuzzBackend::Tl2Eager:
     return runEngine<Tl2Policy>(Plan, Seed, Cfg, ConflictDetection::Eager);
   case FuzzBackend::LibTm:
-    return runLibTm(Plan, Seed, Cfg);
+    return runEngine<LibTmPolicy>(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:
     return runEngine<OrecEagerPolicy>(Plan, Seed, Cfg);
   case FuzzBackend::Tlrw:

@@ -9,7 +9,7 @@
 /// Seeded, reproducible STM fuzzing: a seed expands into a FuzzPlan — a
 /// fixed population of read-modify-write transactions over a small TVar
 /// array — which runs under any backend configuration (the chassis
-/// engines from src/engine with TL2 in both modes, LibTm, and a
+/// engines from src/engine with TL2 in both modes and LibTm, and a
 /// single-threaded reference interpreter) with schedule perturbation
 /// and full history recording. Each run is judged three ways:
 ///
@@ -84,8 +84,7 @@ struct FuzzConfig {
   /// Operations per transaction are drawn from [1, MaxOpsPerTxn], each on
   /// a distinct variable; roughly half become read-modify-writes.
   unsigned MaxOpsPerTxn = 4;
-  /// STM-internal random preemption (EngineConfig/LibTmConfig
-  /// PreemptShift).
+  /// STM-internal random preemption (EngineConfig::PreemptShift).
   unsigned PreemptShift = 2;
   /// Observer-level perturbation (SchedulePerturber yield shift).
   unsigned PerturbShift = 2;
@@ -94,9 +93,9 @@ struct FuzzConfig {
   /// false the standard advance-then-validate-then-publish ordering. CI
   /// smoke runs sweep both (tools/check_fuzz.cpp).
   bool SingleFenceCommit = true;
-  /// Fault injection for the engine-family backends, TL2 included
-  /// (mutation self-test only; see EngineFaultInjection for which engine
-  /// each knob breaks).
+  /// Fault injection for the engine-family backends, TL2 and LibTm
+  /// included (mutation self-test only; see EngineFaultInjection for
+  /// which engine each knob breaks).
   EngineFaultInjection Fault;
   CheckerConfig Checker;
 };

@@ -177,14 +177,25 @@ describeDivergence(const std::vector<std::pair<uint64_t, uint64_t>> &Got,
   return Err.str();
 }
 
-/// Shared run skeleton: prepopulate unobserved, register every owned
-/// cell's quiescent value, execute the plan (concurrently or serially for
-/// the reference interleaving), then apply every verdict.
-template <typename B, template <typename> class DSTmpl, typename ResidueFn>
-TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
-                    uint64_t Seed, const TmdsFuzzConfig &Cfg, bool Serial,
-                    ResidueFn &&Residue) {
+/// One runner for every chassis engine, LibTm included: prepopulate
+/// unobserved, register every owned cell's quiescent value, execute the
+/// plan (concurrently, or serially for the reference interleaving), then
+/// apply every verdict. The cell type and the residue probe come from the
+/// policy's backend traits (tmds/TmBackend.h). \p Detection picks TL2's
+/// mode; the other policies ignore it.
+template <typename Policy, template <typename> class DSTmpl>
+TmdsRunResult runEngineDs(const TmdsPlan &Plan, uint64_t Seed,
+                          const TmdsFuzzConfig &Cfg,
+                          ConflictDetection Detection = ConflictDetection::Lazy,
+                          bool Serial = false) {
+  using B = EngineBackend<Policy>;
   using DS = DSTmpl<B>;
+  EngineConfig C;
+  C.TableBits = 10; // small table: deliberate entry aliasing pressure
+  C.Detection = Detection;
+  C.PreemptShift = Cfg.PreemptShift;
+  C.SingleFenceCommit = Cfg.SingleFenceCommit;
+  EngineStm<Policy> Stm(C);
   TmdsRunResult R;
   R.Expected = Plan.expectedFinal();
 
@@ -243,7 +254,8 @@ TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
 
   Ds.forEachDirect(
       [&](uint64_t K, uint64_t V) { R.Final.emplace_back(K, V); });
-  const std::string ResidueMsg = Residue(Stm, Ds);
+  const std::string ResidueMsg =
+      lockResidue(Stm, [&] { return Ds.anyCellLockedDirect(Stm); });
   const bool StructureOk = Ds.validateDirect();
 
   History H = Rec.take();
@@ -275,49 +287,6 @@ TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
 }
 
 template <template <typename> class DSTmpl>
-TmdsRunResult runLibTmDs(const TmdsPlan &Plan, uint64_t Seed,
-                         const TmdsFuzzConfig &Cfg) {
-  LibTmConfig C;
-  C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  LibTm Tm(C);
-  return runOn<LibTmBackend, DSTmpl>(
-      Tm, Plan, Seed, Cfg, /*Serial=*/false,
-      [](LibTm &S, auto &Ds) -> std::string {
-        if (Ds.anyCellLockedDirect(S))
-          return "an object cell is still locked at quiescence";
-        return "";
-      });
-}
-
-/// One runner for every chassis engine; the engine table's residue probe
-/// is the whole-table quiescence check matching the policy's table type.
-/// \p Detection picks TL2's mode; the other policies ignore it.
-template <typename Policy, template <typename> class DSTmpl>
-TmdsRunResult runEngineDs(const TmdsPlan &Plan, uint64_t Seed,
-                          const TmdsFuzzConfig &Cfg,
-                          ConflictDetection Detection = ConflictDetection::Lazy,
-                          bool Serial = false) {
-  EngineConfig C;
-  C.TableBits = 10; // small table: deliberate entry aliasing pressure
-  C.Detection = Detection;
-  C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
-  EngineStm<Policy> Stm(C);
-  return runOn<EngineBackend<Policy>, DSTmpl>(
-      Stm, Plan, Seed, Cfg, Serial,
-      [](EngineStm<Policy> &S, auto &) {
-        std::string Why;
-        if constexpr (std::is_same_v<typename Policy::Table,
-                                     ByteLockTable>)
-          byteLockTableQuiescent(S.table(), &Why);
-        else
-          lockTableQuiescent(S.table(), &Why);
-        return Why;
-      });
-}
-
-template <template <typename> class DSTmpl>
 TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
                               FuzzBackend Backend,
                               const TmdsFuzzConfig &Cfg) {
@@ -328,7 +297,7 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
     return runEngineDs<Tl2Policy, DSTmpl>(Plan, Seed, Cfg,
                                           ConflictDetection::Eager);
   case FuzzBackend::LibTm:
-    return runLibTmDs<DSTmpl>(Plan, Seed, Cfg);
+    return runEngineDs<LibTmPolicy, DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:
     return runEngineDs<OrecEagerPolicy, DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::Tlrw:

@@ -22,6 +22,8 @@
 ///   static onBegin(TxnT&);            // per-attempt state reset
 ///   static load(TxnT&, Word) -> u64;  // transactional read
 ///   static store(TxnT&, Word, u64);   // transactional write
+///   static loadObject/storeObject(TxnT&, TObjBase&, u64*);
+///                                     // object reads/writes (LibTm only)
 ///   static commit(TxnT&) -> u64;      // wv, or 0 for read-only
 ///   static onAbortCleanup(TxnT&);     // undo replay + lock release
 ///
@@ -29,10 +31,11 @@
 /// manager directly — the chassis owns event reporting, so telemetry,
 /// GuideController gating, fault attribution through the CommitRing, and
 /// the checker-facing TxAccessObserver hooks behave identically across
-/// the whole family. TL2, the paper's runtime, is the family's lazy-orec
-/// member (engine/Tl2.h; `Tl2Stm` is `EngineStm<Tl2Policy>`). LibTm
-/// (src/libtm, metadata embedded in the objects) and the sharded tier
-/// (src/shard, one table per shard) keep their own descriptors.
+/// the whole family. Both of the paper's runtimes are policies: TL2 is
+/// the lazy-orec member (engine/Tl2.h; `Tl2Stm` is `EngineStm<Tl2Policy>`)
+/// and LibTm the object-granular one (engine/LibTm.h; metadata embedded
+/// in each TObj, so its `Table` is empty). Only the sharded tier
+/// (src/shard, one table per shard) keeps its own descriptor.
 ///
 /// All engines in this family keep TL2-compatible version discipline —
 /// rv sampled from the shared VersionClock at begin, reads rejected past
@@ -53,6 +56,7 @@
 #include "stm/LockTable.h"
 #include "stm/Observer.h"
 #include "stm/StatsShard.h"
+#include "stm/TObj.h"
 #include "stm/TVar.h"
 #include "stm/VersionClock.h"
 #include "support/Ids.h"
@@ -63,6 +67,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -94,14 +99,14 @@ struct EngineFaultInjection {
   /// TLRW: a writer stops draining reader bytes before writing in place —
   /// live readers observe torn snapshots under an unchanged version.
   bool SkipReaderDrain = false;
-  /// TL2 and orec-eager: commit skips read-set validation — a commit
+  /// TL2, orec-eager and LibTm: commit skips read-set validation — a commit
   /// that interleaved after this attempt's reads goes undetected (lost
   /// updates). The pessimistic engines (tlrw, 2pl-undo) have no
   /// validation step to skip: their reads are protected by held locks,
   /// which is exactly the property this knob exists to break elsewhere.
   bool SkipReadValidation = false;
-  /// Lazy TL2: publish the new orec versions (releasing the commit
-  /// locks) before writing the buffered values back — readers can
+  /// Lazy TL2 and LibTm: publish the new orec versions (releasing the
+  /// commit locks) before writing the buffered values back — readers can
   /// validate an orec at the new version while still observing the old
   /// data. Pins the standard commit ordering.
   bool TornVersionPublish = false;
@@ -124,8 +129,8 @@ struct EngineConfig {
   /// detection.
   ConflictDetection Detection = ConflictDetection::Lazy;
   /// Single-fence commit (2PLSF/zardoshti "SINGLEFENCEOPT" lineage) where
-  /// the policy has a validation step to order (TL2, orec-eager; see
-  /// OrecEagerPolicy::publish): validate, write back, then advance the
+  /// the policy has a validation step to order (TL2, orec-eager, LibTm;
+  /// see OrecEagerPolicy::publish): validate, write back, then advance the
   /// clock and publish the versions with relaxed stores behind one
   /// release fence. Policies without commit validation publish
   /// identically either way.
@@ -265,6 +270,27 @@ public:
     storeWord(Var.word(), TVar<T>::encode(Value));
   }
 
+  /// Typed transactional snapshot read of a multi-word object (policies
+  /// with object-embedded metadata: LibTm).
+  template <typename T> T read(const TObj<T> &Obj) {
+    this->maybePreempt();
+    uint64_t Raw[TObj<T>::WordCount];
+    Policy::loadObject(*this, const_cast<TObj<T> &>(Obj), Raw);
+    T Value;
+    std::memcpy(&Value, Raw, sizeof(T));
+    return Value;
+  }
+
+  /// Typed whole-object write. The value type is non-deduced so
+  /// braced/convertible values bind to the object's type.
+  template <typename T>
+  void write(TObj<T> &Obj, const std::type_identity_t<T> &Value) {
+    this->maybePreempt();
+    uint64_t Raw[TObj<T>::WordCount] = {};
+    std::memcpy(Raw, &Value, sizeof(T));
+    Policy::storeObject(*this, Obj, Raw);
+  }
+
   /// Explicitly aborts and retries the current transaction attempt.
   [[noreturn]] void retryAbort() {
     reportAbortAndThrow(AbortEvent{Thread, CurrentTx,
@@ -336,18 +362,18 @@ public:
 
   /// Observer shorthands for policies (single null test, as the
   /// TxAccessObserver contract requires).
-  void noteLoad(const std::atomic<uint64_t> *Addr, uint64_t Value,
-                uint64_t Version, bool Buffered) {
+  void noteLoad(const void *Addr, uint64_t Value, uint64_t Version,
+                bool Buffered) {
     if (TxAccessObserver *A = S.accessObserver())
       A->onTxLoad(Thread, Addr, Value, Version, Buffered);
   }
-  void noteStore(const std::atomic<uint64_t> *Addr, uint64_t Value) {
+  void noteStore(const void *Addr, uint64_t Value) {
     if (TxAccessObserver *A = S.accessObserver())
       A->onTxStore(Thread, Addr, Value);
   }
-  void noteLockAcquire(uint64_t LockIndex) {
+  void noteLockAcquire(uint64_t LockId) {
     if (TxAccessObserver *A = S.accessObserver())
-      A->onLockAcquire(Thread, LockIndex);
+      A->onLockAcquire(Thread, LockId);
   }
 
 private:

@@ -7,17 +7,17 @@
 ///
 /// \file
 /// Umbrella header for the engine family: include this to get every
-/// policy on the chassis — TL2 (lazy orecs, the paper's runtime),
-/// orec-eager, TLRW and 2PL-undo. LibTm (src/libtm) is the one
-/// stand-alone runtime outside the sharded tier: it shares the executor,
-/// clock, ring, stats and observer surfaces but keeps its own
-/// object-based descriptor. See DESIGN.md §4i for the full matrix.
+/// policy on the chassis — TL2 (lazy orecs, the paper's runtime), LibTm
+/// (object-embedded orecs, the paper's SynQuake runtime), orec-eager,
+/// TLRW and 2PL-undo. Only the sharded tier (src/shard) keeps its own
+/// descriptor. See DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_ENGINE_ENGINES_H
 #define GSTM_ENGINE_ENGINES_H
 
+#include "engine/LibTm.h"
 #include "engine/OrecEager.h"
 #include "engine/Tl2.h"
 #include "engine/Tlrw.h"

@@ -28,7 +28,9 @@
 /// TL2 (engine/Tl2.h) derives from this policy: its eager mode is this
 /// algorithm unchanged, and its lazy mode reuses the orec read, the
 /// read-set validation and the commit tail (publish), adding only the
-/// write buffer and commit-time locking.
+/// write buffer and commit-time locking. LibTm (engine/LibTm.h) derives
+/// from it the same way; its orecs are the metadata words embedded in
+/// its objects, which is why a held orec is recorded by address.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +42,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <thread>
 
 namespace gstm {
 
@@ -49,17 +52,22 @@ struct OrecEagerPolicy {
   static constexpr unsigned DefaultTableBits = 20;
 
   /// An orec this attempt holds (locked at encounter time here, at
-  /// commit time by lazy TL2), with its pre-lock word for
-  /// release-on-abort and self-read validation.
+  /// commit time by lazy TL2 and LibTm), with its pre-lock word for
+  /// release-on-abort and self-read validation. The orec is a lock-table
+  /// stripe or an object's embedded meta() word; the commit tail treats
+  /// both alike. Version publishes on the single-fence commit path are
+  /// relaxed stores; the one release fence after writeback is what makes
+  /// a reader's acquire load of the orec observe the new data.
   struct Held {
-    size_t StripeIndex;
+    // stm-order: publish(Orec) requires release-fence-before
+    std::atomic<uint64_t> *Orec;
     uint64_t PreviousWord;
   };
 
   struct TxnState {
     /// Orecs of invisible reads, revalidated at commit.
     MiniVector<const std::atomic<uint64_t> *, 64> ReadSet;
-    /// Held write locks; sorted by index before publish so the
+    /// Held write locks; sorted by orec address before publish so the
     /// validation slow pass can binary-search self-held orecs.
     MiniVector<Held, 32> Acquired;
 
@@ -129,9 +137,8 @@ struct OrecEagerPolicy {
       if (Stripe.compare_exchange_weak(Old, LockTable::encodeLocked(Self),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-        size_t Index = S.table().indexFor(&Word);
-        Tx.state().Acquired.push_back(Held{Index, Old});
-        Tx.noteLockAcquire(Index);
+        Tx.state().Acquired.push_back(Held{&Stripe, Old});
+        Tx.noteLockAcquire(S.table().indexFor(&Word));
         break;
       }
     }
@@ -150,9 +157,7 @@ struct OrecEagerPolicy {
     // validate's slow pass binary-searches Acquired by orec address;
     // encounter-time acquisition happens in program order, so normalize.
     std::sort(St.Acquired.begin(), St.Acquired.end(),
-              [](const Held &A, const Held &B) {
-                return A.StripeIndex < B.StripeIndex;
-              });
+              [](const Held &A, const Held &B) { return A.Orec < B.Orec; });
     // The undo log stays until the next begin: the contention manager
     // counts its entries as the committed attempt's write opens.
     return publish(Tx, [] {});
@@ -163,26 +168,25 @@ struct OrecEagerPolicy {
   /// the pre-lock orec words.
   template <typename TxnT> static void onAbortCleanup(TxnT &Tx) {
     Tx.undoWrites();
-    auto &S = Tx.rt();
     TxnState &St = Tx.state();
     for (auto It = St.Acquired.rbegin(); It != St.Acquired.rend(); ++It)
-      S.table().stripeAt(It->StripeIndex)
-          .store(It->PreviousWord, std::memory_order_release);
+      It->Orec->store(It->PreviousWord, std::memory_order_release);
     St.Acquired.clear();
   }
 
 protected:
-  /// The commit tail TL2 and orec-eager share. Entered holding every
-  /// written orec (Acquired, sorted by index): validate the read set, run
-  /// \p Writeback (TL2's buffered writes; orec-eager wrote in place
-  /// already), stamp wv, record attribution, publish the versions.
+  /// The commit tail TL2, orec-eager and LibTm share. Entered holding
+  /// every written orec (Acquired, sorted by address): validate the read
+  /// set, run \p Writeback (the buffered writes of lazy TL2 and LibTm;
+  /// orec-eager wrote in place already), stamp wv, record attribution,
+  /// publish the versions.
   template <typename TxnT, typename WritebackFn>
   static uint64_t publish(TxnT &Tx, WritebackFn &&Writeback) {
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
     const EngineConfig &Cfg = S.config();
     uint64_t Wv;
-    // The torn-publish mutant (Tl2Policy::commit) tears the standard
+    // The torn-publish mutant (publishWriteback) tears the standard
     // ordering, so it pins that one.
     if (Cfg.SingleFenceCommit && !Cfg.Fault.TornVersionPublish) {
       // Single-fence ordering (SINGLEFENCEOPT): validate, write back, and
@@ -206,7 +210,7 @@ protected:
       // taken lock, both validate clean, and both commit a lost update
       // (real on POWER; invisible on x86/ARMv8, so check_fuzz cannot
       // catch it).
-      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::publish single-fence commit of tl2 and orec-eager)
+      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::publish single-fence commit of tl2, orec-eager and libtm)
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!Cfg.Fault.SkipReadValidation)
         validate(Tx);
@@ -221,8 +225,8 @@ protected:
       // victim observing Wv can already resolve the committer.
       S.commitRing().record(Wv, Tx.self());
       for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_relaxed);
+        L.Orec->store(LockTable::encodeVersion(Wv),
+                      std::memory_order_relaxed);
     } else {
       Wv = S.clock().advance();
       // TL2 elision: wv == rv+1 means no other transaction committed
@@ -234,10 +238,50 @@ protected:
       S.commitRing().record(Wv, Tx.self());
       Writeback();
       for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_release);
+        L.Orec->store(LockTable::encodeVersion(Wv),
+                      std::memory_order_release);
     }
     St.Acquired.clear();
+    return Wv;
+  }
+
+  /// Commit-time lock of one written orec for the buffered-write policies
+  /// (lazy TL2, LibTm), reported to the access observer as \p LockId.
+  /// They acquire in address order, which makes lock-acquisition deadlock
+  /// impossible, so a held orec aborts at once instead of spinning; it
+  /// also leaves Acquired sorted, as validate's pre-lock lookup needs.
+  template <typename TxnT>
+  static void acquireOrec(TxnT &Tx, std::atomic<uint64_t> &Orec,
+                          uint64_t LockId) {
+    const uint64_t Locked = LockTable::encodeLocked(Tx.self());
+    uint64_t Old = Orec.load(std::memory_order_relaxed);
+    do {
+      StripeState OldState = LockTable::decode(Old);
+      if (OldState.Locked)
+        Tx.abortOnOwner(OldState.Owner, AbortSite::LockAcquire);
+    } while (!Orec.compare_exchange_weak(Old, Locked,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed));
+    Tx.state().Acquired.push_back(Held{&Orec, Old});
+    Tx.noteLockAcquire(LockId);
+  }
+
+  /// publish for the buffered-write policies (lazy TL2, LibTm), with
+  /// \p Writeback storing the buffered values. The TornVersionPublish
+  /// self-test mutant releases the locks at the new version *before*
+  /// writing the data back instead, pausing in between to widen the
+  /// window in which readers validate new-version orecs over old data.
+  /// A yield returns at once when cores are idle, so the pause is 100 of
+  /// them; a single one closes the window before a concurrent reader
+  /// gets in.
+  template <typename TxnT, typename WritebackFn>
+  static uint64_t publishWriteback(TxnT &Tx, WritebackFn &&Writeback) {
+    if (!Tx.rt().config().Fault.TornVersionPublish)
+      return publish(Tx, Writeback);
+    uint64_t Wv = publish(Tx, [] {});
+    for (int I = 0; I < 100; ++I)
+      std::this_thread::yield();
+    Writeback();
     return Wv;
   }
 
@@ -248,12 +292,12 @@ protected:
   /// a suspicious read set pays the per-orec attribution walk.
   template <typename TxnT> static void validate(TxnT &Tx) {
     TxnState &St = Tx.state();
-    const std::atomic<uint64_t> *const *Stripes = St.ReadSet.data();
+    const std::atomic<uint64_t> *const *Orecs = St.ReadSet.data();
     const size_t N = St.ReadSet.size();
     const uint64_t Snapshot = Tx.rv();
     uint64_t Suspicious = 0;
     for (size_t I = 0; I < N; ++I) {
-      uint64_t W = Stripes[I]->load(std::memory_order_acquire);
+      uint64_t W = Orecs[I]->load(std::memory_order_acquire);
       Suspicious |=
           (W & 1) | static_cast<uint64_t>((W >> 1) > Snapshot);
     }
@@ -267,23 +311,19 @@ protected:
     // be silently overwritten. Sound even though the words are re-read:
     // versions only grow, and an orec that went clean in between is
     // genuinely clean.
-    auto &S = Tx.rt();
     TxThreadPair Self = Tx.self();
-    for (const std::atomic<uint64_t> *Stripe : St.ReadSet) {
-      uint64_t Word = Stripe->load(std::memory_order_acquire);
+    for (const std::atomic<uint64_t> *Orec : St.ReadSet) {
+      uint64_t Word = Orec->load(std::memory_order_acquire);
       StripeState State = LockTable::decode(Word);
       if (State.Locked) {
         if (State.Owner != Self)
           Tx.abortOnOwner(State.Owner, AbortSite::CommitValidate);
-        // Acquired is sorted by index and the table is one contiguous
-        // array, so pointer order matches index order.
         auto It = std::lower_bound(
-            St.Acquired.begin(), St.Acquired.end(), Stripe,
-            [&S](const Held &L, const std::atomic<uint64_t> *Ptr) {
-              return &S.table().stripeAt(L.StripeIndex) < Ptr;
+            St.Acquired.begin(), St.Acquired.end(), Orec,
+            [](const Held &L, const std::atomic<uint64_t> *Ptr) {
+              return L.Orec < Ptr;
             });
-        assert(It != St.Acquired.end() &&
-               &S.table().stripeAt(It->StripeIndex) == Stripe &&
+        assert(It != St.Acquired.end() && It->Orec == Orec &&
                "self-locked orec missing from the acquired list");
         StripeState PreLock = LockTable::decode(It->PreviousWord);
         if (PreLock.Version > Tx.rv())

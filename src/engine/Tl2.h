@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 namespace gstm {
 
@@ -103,19 +102,10 @@ struct Tl2Policy : OrecEagerPolicy {
     if (St.WriteLog.empty())
       return OrecEagerPolicy::commit(Tx);
     acquireWriteSet(Tx);
-    auto Writeback = [&St] {
+    return publishWriteback(Tx, [&St] {
       for (const WriteEntry &E : St.WriteLog)
         E.Addr->store(E.Value, std::memory_order_release);
-    };
-    if (!Tx.rt().config().Fault.TornVersionPublish)
-      return publish(Tx, Writeback);
-    // Self-test mutant: release the locks at the new version *before*
-    // writing the data back, with a yield in between to widen the window
-    // in which readers validate new-version orecs over old data.
-    uint64_t Wv = publish(Tx, [] {});
-    std::this_thread::yield();
-    Writeback();
-    return Wv;
+    });
   }
 
 private:
@@ -124,10 +114,8 @@ private:
     return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
   }
 
-  /// Locks the write set's orecs in index order, deduplicated. Ordered
-  /// acquisition makes lock-acquisition deadlock impossible, so a held
-  /// orec aborts at once instead of spinning; it also leaves Acquired
-  /// sorted, as validate's pre-lock lookup needs.
+  /// Locks the write set's orecs in index order, deduplicated; the table
+  /// is one array, so that is address order.
   template <typename TxnT> static void acquireWriteSet(TxnT &Tx) {
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
@@ -138,21 +126,8 @@ private:
     std::sort(Indices.begin(), Indices.end());
     Indices.truncate(static_cast<size_t>(
         std::unique(Indices.begin(), Indices.end()) - Indices.begin()));
-
-    const TxThreadPair Self = Tx.self();
-    for (size_t Index : Indices) {
-      std::atomic<uint64_t> &Stripe = S.table().stripeAt(Index);
-      uint64_t Old = Stripe.load(std::memory_order_relaxed);
-      do {
-        StripeState OldState = LockTable::decode(Old);
-        if (OldState.Locked)
-          Tx.abortOnOwner(OldState.Owner, AbortSite::LockAcquire);
-      } while (!Stripe.compare_exchange_weak(
-          Old, LockTable::encodeLocked(Self), std::memory_order_acq_rel,
-          std::memory_order_relaxed));
-      St.Acquired.push_back(Held{Index, Old});
-      Tx.noteLockAcquire(Index);
-    }
+    for (size_t Index : Indices)
+      acquireOrec(Tx, S.table().stripeAt(Index), Index);
   }
 };
 

@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The retry loop every engine in the family shares. Before this header
-/// existed, `Tl2Txn::run` and `LibTxn::run` each hand-rolled the same
-/// machinery — start gate, contention-manager hooks, attempt-latency
-/// tracking, abort catch, backoff, scheduler perturbation — and the two
-/// copies had already drifted (LibTm lacked contention-manager support
-/// entirely). TxnExecutor is the single CRTP implementation; a descriptor
-/// derives from `TxnExecutor<Self>` and provides:
+/// The retry loop every transaction descriptor shares — the chassis's
+/// EngineTxn (TL2, LibTm and the other engine policies) and the sharded
+/// tier's ShardedTxn: start gate, contention-manager hooks,
+/// attempt-latency tracking, abort catch, backoff and scheduler
+/// perturbation. TxnExecutor is a CRTP base; a descriptor derives from
+/// `TxnExecutor<Self>` and provides:
 ///
 ///   stm()                 - the runtime, exposing gate(),
 ///                           contentionManager(), and config() with

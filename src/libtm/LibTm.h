@@ -6,19 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reproduction of the LibTM configuration the paper uses for SynQuake
-/// (Lupei et al., PPoPP'10): *object-granularity* conflict detection with
-/// fully-optimistic reads (no read locks) and write locks acquired only at
-/// commit, with conflicts resolved against readers (an optimistic reader
-/// whose object was overwritten aborts — the "abort-readers" policy).
-/// LibTM itself is closed source; this implementation reuses TL2's global
-/// version clock for commit-time validation but keeps LibTM's defining
-/// characteristics: metadata lives *inside each object* (no address
-/// hashing, no false sharing between distinct objects, the property
-/// SynQuake relies on) and objects are multi-word.
-///
-/// The same TxEventObserver / StartGate hooks as the TL2 runtime plug the
-/// model layer in unchanged.
+/// The object-based LibTM runtime the paper uses for SynQuake, under the
+/// names the game, the benches and the tests use. The algorithm is the
+/// engine chassis's LibTm policy (engine/LibTm.h); these are plain
+/// aliases.
 ///
 /// Usage:
 /// \code
@@ -37,229 +28,14 @@
 #ifndef GSTM_LIBTM_LIBTM_H
 #define GSTM_LIBTM_LIBTM_H
 
-#include "stm/CommitRing.h"
-#include "stm/LockTable.h"
-#include "stm/Observer.h"
-#include "stm/Tl2.h"
-#include "stm/VersionClock.h"
-#include "support/Ids.h"
-#include "support/MiniVector.h"
-#include "support/PtrIndexMap.h"
-
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <cstring>
-#include <type_traits>
-#include <utility>
+#include "engine/LibTm.h"
 
 namespace gstm {
 
-/// Type-erased base of every transactional object: the versioned-lock
-/// metadata word (same encoding as the TL2 stripe words) plus the
-/// word-granular payload accessors used by the runtime.
-class TObjBase {
-public:
-  explicit TObjBase(size_t PayloadWords) : NumWords(PayloadWords) {}
-  TObjBase(const TObjBase &) = delete;
-  TObjBase &operator=(const TObjBase &) = delete;
-  virtual ~TObjBase() = default;
-
-  // The single-fence commit path publishes the meta word with a relaxed
-  // store behind one release fence; see LibTxn::commitOrThrow.
-  // stm-order: publish(meta) requires release-fence-before
-  std::atomic<uint64_t> &meta() { return Meta; }
-  size_t numWords() const { return NumWords; }
-
-  virtual std::atomic<uint64_t> *words() = 0;
-
-private:
-  std::atomic<uint64_t> Meta{0};
-  size_t NumWords;
-};
-
-/// A transactional object holding a trivially copyable \p T. The payload
-/// is stored as relaxed atomic words so speculative snapshot copies are
-/// well-defined; torn snapshots are rejected by the metadata re-check.
-template <typename T> class TObj : public TObjBase {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "TObj requires a trivially copyable payload");
-
-public:
-  static constexpr size_t WordCount = (sizeof(T) + 7) / 8;
-
-  TObj() : TObjBase(WordCount) { storeDirect(T{}); }
-  explicit TObj(const T &Value) : TObjBase(WordCount) {
-    storeDirect(Value);
-  }
-
-  /// Non-transactional accessors; quiescent use only.
-  T loadDirect() const {
-    uint64_t Raw[WordCount];
-    for (size_t I = 0; I < WordCount; ++I)
-      Raw[I] = Payload[I].load(std::memory_order_relaxed);
-    T Value;
-    std::memcpy(&Value, Raw, sizeof(T));
-    return Value;
-  }
-  void storeDirect(const T &Value) {
-    uint64_t Raw[WordCount] = {};
-    std::memcpy(Raw, &Value, sizeof(T));
-    for (size_t I = 0; I < WordCount; ++I)
-      Payload[I].store(Raw[I], std::memory_order_relaxed);
-  }
-
-  std::atomic<uint64_t> *words() override { return Payload; }
-
-private:
-  std::atomic<uint64_t> Payload[WordCount];
-};
-
-/// Construction-time configuration of a LibTm runtime.
-struct LibTmConfig {
-  unsigned CommitRingBits = 13;
-  /// Single-fence commit, as in EngineConfig::SingleFenceCommit: validate,
-  /// write back, then advance the clock and publish every object's
-  /// metadata with relaxed stores behind one release fence. Read-set
-  /// validation runs unconditionally in this mode (the `wv == rv+1`
-  /// elision is unsound once the clock advances after writeback).
-  bool SingleFenceCommit = true;
-  BackoffKind Backoff = BackoffKind::Yield;
-  /// Scheduler perturbation, as in EngineConfig::PreemptShift: yield with
-  /// probability 2^-PreemptShift per object access to restore
-  /// multicore-like transaction overlap on undersized hosts. 0 = off.
-  unsigned PreemptShift = 0;
-  /// Accumulate per-attempt wall-clock latency into the stats shards
-  /// (see EngineConfig::TrackAttemptLatency).
-  bool TrackAttemptLatency = false;
-};
-
-/// One object-based STM runtime instance.
-class LibTm {
-public:
-  explicit LibTm(const LibTmConfig &Config = LibTmConfig())
-      : Cfg(Config), Ring(Config.CommitRingBits) {}
-
-  LibTm(const LibTm &) = delete;
-  LibTm &operator=(const LibTm &) = delete;
-
-  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
-  void setGate(StartGate *G) { Gate = G; }
-  /// Installs a contention manager that overrides the config's backoff
-  /// policy (nullptr to restore it). Must not be called while
-  /// transactions are running. Historically a TL2-only capability; the
-  /// shared executor (engine/TxnExecutor.h) made it a family-wide trait.
-  void setContentionManager(ContentionManager *M) { Cm = M; }
-  /// Installs \p Obs as the per-access observer (nullptr to disable, the
-  /// default); same contract as Tl2Stm::setAccessObserver. Accesses are
-  /// reported object-granular: Addr = the TObjBase, Value = payload word
-  /// 0.
-  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
-
-  const LibTmConfig &config() const { return Cfg; }
-  VersionClock &clock() { return Clock; }
-  CommitRing &commitRing() { return Ring; }
-  TxEventObserver *observer() const { return Observer; }
-  StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
-  TxAccessObserver *accessObserver() const { return AccessObs; }
-  /// Sharded per-thread telemetry (see stm/StatsShard.h).
-  Tl2Stats &stats() { return Counters; }
-  const Tl2Stats &stats() const { return Counters; }
-
-private:
-  LibTmConfig Cfg;
-  VersionClock Clock;
-  CommitRing Ring;
-  TxEventObserver *Observer = nullptr;
-  StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
-  TxAccessObserver *AccessObs = nullptr;
-  Tl2Stats Counters;
-};
-
-/// Per-thread transaction descriptor for LibTm. The retry loop (`run`)
-/// comes from the shared engine-family executor (engine/TxnExecutor.h),
-/// which also gives LibTm contention-manager support for free.
-class LibTxn : public TxnExecutor<LibTxn> {
-public:
-  LibTxn(LibTm &Tm, ThreadId Thread)
-      : TxnExecutor<LibTxn>(Thread), S(Tm), Thread(Thread),
-        Shard(&Tm.stats().shard(Thread)) {}
-  LibTxn(const LibTxn &) = delete;
-  LibTxn &operator=(const LibTxn &) = delete;
-
-  /// Transactional snapshot read of an object.
-  template <typename T> T read(const TObj<T> &Obj) {
-    auto &Mutable = const_cast<TObj<T> &>(Obj);
-    uint64_t Raw[TObj<T>::WordCount];
-    readWords(Mutable, Raw);
-    T Value;
-    std::memcpy(&Value, Raw, sizeof(T));
-    return Value;
-  }
-
-  /// Transactional (buffered) whole-object write. The value type is
-  /// non-deduced so braced/convertible values bind to the object's type.
-  template <typename T>
-  void write(TObj<T> &Obj, const std::type_identity_t<T> &Value) {
-    uint64_t Raw[TObj<T>::WordCount] = {};
-    std::memcpy(Raw, &Value, sizeof(T));
-    writeWords(Obj, Raw);
-  }
-
-  [[noreturn]] void retryAbort();
-
-  ThreadId threadId() const { return Thread; }
-  uint64_t readVersion() const { return Rv; }
-  size_t readSetSize() const { return ReadSet.size(); }
-  size_t writeSetSize() const { return WriteObjs.size(); }
-
-private:
-  friend class TxnExecutor<LibTxn>;
-
-  /// Executor contract (engine/TxnExecutor.h).
-  LibTm &stm() { return S; }
-  StatsShard *shard() { return Shard; }
-  /// Locations this attempt opened (contention-manager currency): logged
-  /// reads plus buffered object writes.
-  uint64_t opensCount() const { return ReadSet.size() + WriteObjs.size(); }
-
-  void begin(TxId Tx);
-  /// Copies a validated snapshot of \p Obj into \p Out (or the buffered
-  /// write if present).
-  void readWords(TObjBase &Obj, uint64_t *Out);
-  void writeWords(TObjBase &Obj, const uint64_t *In);
-  void commitOrThrow(uint32_t PriorAborts);
-  /// Commit-time read-set revalidation (branch-free fast pass over the
-  /// metadata words, attribution walk only when something is suspicious);
-  /// releases the acquired locks and throws on conflict.
-  void validateReadSet(TxThreadPair Self);
-
-  [[noreturn]] void abortOnOwner(TxThreadPair Owner, AbortSite Site);
-  [[noreturn]] void abortOnVersion(uint64_t Version, AbortSite Site);
-  [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
-  void releaseAcquiredLocks();
-
-  LibTm &S;
-  ThreadId Thread;
-  /// This thread's telemetry shard, resolved once at construction.
-  StatsShard *Shard;
-  TxId CurrentTx = 0;
-  uint64_t Rv = 0;
-
-  /// Per-attempt logs; inline-capacity containers for the same reasons
-  /// as Tl2Txn's (no heap traffic for common transaction sizes, O(1)
-  /// clear in begin(), grown capacity retained across the retry loop).
-  MiniVector<TObjBase *, 64> ReadSet;
-  /// Write set: object -> offset into WriteData (object's buffered
-  /// payload words).
-  MiniVector<TObjBase *, 32> WriteObjs;
-  PtrIndexMap<uint32_t, 5> WriteIndex;
-  MiniVector<uint64_t, 64> WriteData;
-  /// Pre-lock metadata of objects locked so far during commit.
-  MiniVector<std::pair<TObjBase *, uint64_t>, 32> Acquired;
-};
+using LibTmConfig = EngineConfig;
+using LibTm = EngineStm<LibTmPolicy>;
+/// Per-thread descriptor; a transactional context for stm_lint.
+using LibTxn = EngineTxn<LibTmPolicy>;
 
 } // namespace gstm
 

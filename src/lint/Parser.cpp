@@ -22,9 +22,9 @@ bool gstm::lint::isTxnHandleType(std::string_view TypeName) {
   // aliases plus the generic chassis name: `EngineTxn<P> &` lexes as
   // `EngineTxn` once the template group is stripped.
   return TypeName == "Tl2Txn" || TypeName == "LibTxn" ||
-         TypeName == "LibTmTxn" || TypeName == "Txn" ||
-         TypeName == "OrecEagerTxn" || TypeName == "TlrwTxn" ||
-         TypeName == "TwoPlTxn" || TypeName == "EngineTxn";
+         TypeName == "Txn" || TypeName == "OrecEagerTxn" ||
+         TypeName == "TlrwTxn" || TypeName == "TwoPlTxn" ||
+         TypeName == "EngineTxn";
 }
 
 namespace {

@@ -12,9 +12,9 @@
 ///
 ///  * every function definition (free, member, out-of-class), with its
 ///    body token range, qualified name, and whether it takes a
-///    transactional-handle parameter (`Tl2Txn &` / `LibTxn &` /
-///    `LibTmTxn &`, pointer forms included) — such a function body is
-///    transactional context propagated over the call graph;
+///    transactional-handle parameter (`Tl2Txn &` / `LibTxn &`, pointer
+///    forms included) — such a function body is transactional context
+///    propagated over the call graph;
 ///  * every lambda whose parameter list declares a transactional handle
 ///    (the `Txn.run(tx, [&](Tl2Txn &Tx) {...})` bodies), with its body
 ///    token range.

@@ -113,7 +113,7 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
 
   if (HandleType == "Tl2Txn")
     return Tl2;
-  if (HandleType == "LibTxn" || HandleType == "LibTmTxn")
+  if (HandleType == "LibTxn")
     return LibTm;
   if (HandleType == "OrecEagerTxn")
     return OrecEager;

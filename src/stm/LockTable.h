@@ -95,9 +95,10 @@ public:
 
   StripeHashKind hashKind() const { return Kind; }
 
-  // Stripe version publishes on the single-fence commit paths are
-  // relaxed stores; the one release fence after writeback is what makes
-  // a reader's acquire load of the stripe observe the new data.
+  // A version publish through stripeAt must be a release store or a
+  // relaxed one behind a release fence. (The orec engines' single-fence
+  // commit publishes through OrecEagerPolicy::Held::Orec under the same
+  // contract.)
   // stm-order: publish(stripeAt) requires release-fence-before
   std::atomic<uint64_t> &stripeAt(size_t Index) {
     assert(Index <= Mask && "stripe index out of range");

@@ -115,8 +115,8 @@ public:
 ///
 /// Callbacks run on the worker thread performing the access and are
 /// ordered within that thread; implementations must be thread-safe across
-/// threads. LibTm reports its object-granular accesses with Addr = the
-/// TObjBase and Value = payload word 0, which is exact for the
+/// threads. The object-granular LibTm policy reports its accesses with
+/// Addr = the TObjBase and Value = payload word 0, which is exact for the
 /// single-word objects the check harness drives.
 class TxAccessObserver {
 public:
@@ -140,8 +140,8 @@ public:
                          uint64_t Value) = 0;
 
   /// The attempt acquired the versioned lock identified by \p LockId
-  /// (stripe index for TL2, object address for LibTm) — encounter-time in
-  /// eager mode, commit-time otherwise.
+  /// (stripe index for the table policies such as TL2, object address
+  /// for LibTm) — encounter-time in eager mode, commit-time otherwise.
   virtual void onLockAcquire(ThreadId Thread, uint64_t LockId) = 0;
 };
 

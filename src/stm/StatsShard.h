@@ -22,7 +22,7 @@
 ///  * a retries-before-commit histogram (log-free fixed buckets; the last
 ///    bucket absorbs the tail), and
 ///  * wall-clock attempt latency totals (enabled per-runtime via
-///    Tl2Config/LibTmConfig::TrackAttemptLatency).
+///    EngineConfig::TrackAttemptLatency).
 ///
 /// Invariants, relied on by the JSON export and `model_inspect --stats`:
 ///   Aborts  == sum(AbortsByCause) == sum(AbortsBySite)

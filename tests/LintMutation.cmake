@@ -63,18 +63,14 @@ reset_tree()
 run_lint(pristine 0)
 
 # Fence deletion from each single-fence commit path -> O3 names the path.
-# TL2 and orec-eager share one commit tail (OrecEagerPolicy::publish), so
-# one mutant covers both engines; its contract label names both.
+# TL2, orec-eager and LibTm share one commit tail
+# (OrecEagerPolicy::publish), so one mutant covers all three engines; its
+# contract label names them.
 set(OREC_PUBLISH_LABEL
-    "OrecEagerPolicy::publish single-fence commit of tl2 and orec-eager")
+    "OrecEagerPolicy::publish single-fence commit of tl2, orec-eager and libtm")
 reset_tree()
 mutate(src/engine/OrecEager.h "${SEQ_FENCE}" "")
 run_lint(tl2-orec-fence-removed 1 "[O3]" "${OREC_PUBLISH_LABEL}")
-
-reset_tree()
-mutate(src/libtm/LibTm.cpp "${SEQ_FENCE}" "")
-run_lint(libtm-fence-removed 1 "[O3]"
-         "LibTxn::commitOrThrow single-fence commit")
 
 reset_tree()
 mutate(src/shard/Sharded.cpp "${SEQ_FENCE}" "")
@@ -106,14 +102,17 @@ mutate(src/shard/Sharded.cpp
 run_lint(shard-torn-publish 1 "[O1]" "Stripe")
 
 # Torn publish: downgrading the standard-ordering version publish to
-# relaxed leaves no dominating release fence -> O1 on the publish loop of
-# the commit tail TL2 and orec-eager share (the torn-fault mutant walks
-# the same loop).
+# relaxed leaves no dominating release fence -> O1 via the publish(Orec)
+# contract on the held-orec pointers, on the publish loop of the commit
+# tail TL2, orec-eager and LibTm share (the torn-fault mutant walks the
+# same loop).
 reset_tree()
 mutate(src/engine/OrecEager.h
-       "LockTable::encodeVersion(Wv), std::memory_order_release)"
-       "LockTable::encodeVersion(Wv), std::memory_order_relaxed)")
-run_lint(tl2-orec-torn-publish 1 "[O1]" "stripeAt" "src/engine/OrecEager.h")
+       "L.Orec->store(LockTable::encodeVersion(Wv),
+                      std::memory_order_release);"
+       "L.Orec->store(LockTable::encodeVersion(Wv),
+                      std::memory_order_relaxed);")
+run_lint(tl2-orec-torn-publish 1 "[O1]" "Orec" "src/engine/OrecEager.h")
 
 reset_tree()
 message(STATUS "lint_mutation: all mutants flagged, pristine clean")

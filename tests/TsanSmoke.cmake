@@ -6,7 +6,7 @@
 #
 # The smoke focuses on the racy-by-construction paths: the sharded stats
 # subsystem (single-writer relaxed increments, concurrent aggregation) and
-# the TL2 runtime's multi-threaded tests. A data race anywhere in those
+# the TL2 and LibTm runtimes' multi-threaded tests. A data race anywhere in those
 # paths makes TSan exit non-zero and fails the test.
 
 if(NOT SOURCE_DIR OR NOT BUILD_DIR)
@@ -24,8 +24,8 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
-          --target stats_test tl2_test minivector_test latency_histogram_test
-                   tmds_test engine_test shard_test
+          --target stats_test tl2_test libtm_test minivector_test
+                   latency_histogram_test tmds_test engine_test shard_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "tsan sub-build compile failed (${BuildRc})")
@@ -53,6 +53,19 @@ execute_process(
   RESULT_VARIABLE Tl2Rc)
 if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under tsan (${Tl2Rc})")
+endif()
+
+# LibTm publishes through the same shared commit tail — relaxed
+# metadata-word stores behind one release fence — and SynQuake relies on
+# its multi-word object snapshots never tearing: the concurrent counter,
+# snapshot, cross-object and observer tests race real writers against
+# those snapshot reads.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/libtm_test
+          --gtest_filter=LibTmTest.ConcurrentCounters*:LibTmTest.Snapshot*:LibTmTest.CrossObject*:LibTmTest.Observer*
+  RESULT_VARIABLE LibTmRc)
+if(NOT LibTmRc EQUAL 0)
+  message(FATAL_ERROR "libtm_test failed under tsan (${LibTmRc})")
 endif()
 
 # The transactional skiplist/B-tree publish pool-allocated nodes through

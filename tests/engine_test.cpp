@@ -11,7 +11,8 @@
 /// typed suite run identically over TL2, orec-eager, TLRW and 2PL-undo —
 /// read-own-write, undo-on-abort, read-only commit flagging, exactness
 /// under contention, and the gate/observer/contention-manager hook
-/// surface the family shares with LibTm. The differential fuzz
+/// surface every engine shares (LibTm, the object-granular policy, has
+/// its own suite in libtm_test.cpp). The differential fuzz
 /// matrix (tools/check_fuzz.cpp) is the deep conformance check; this
 /// file pins the per-engine semantics a fuzz failure would be hard to
 /// localize from.
@@ -474,8 +475,8 @@ unsigned checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
 
 TEST(EngineMutationSelfTest, CleanEnginesPassTheSameSeeds) {
   FuzzConfig Cfg;
-  for (FuzzBackend B :
-       {FuzzBackend::OrecEager, FuzzBackend::Tlrw, FuzzBackend::TwoPlUndo})
+  for (FuzzBackend B : {FuzzBackend::OrecEager, FuzzBackend::Tlrw,
+                        FuzzBackend::TwoPlUndo, FuzzBackend::LibTm})
     for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
       FuzzRunResult R = runFuzzIteration(Seed, B, Cfg);
       EXPECT_TRUE(R.passed()) << fuzzBackendName(B) << " seed " << Seed
@@ -502,6 +503,23 @@ TEST(EngineMutationSelfTest, SkippedReadValidationIsCaughtOnOrecEager) {
   Cfg.Fault.SkipReadValidation = true;
   EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 120, 3), 3u)
       << "checker failed to flag the skipped-validation mutant";
+}
+
+// LibTm commits through the tail TL2 and orec-eager share, so the two
+// commit-path mutants reach it; same bounds as the orec-eager case above
+// and TL2's torn case (check_test).
+TEST(EngineMutationSelfTest, SkippedReadValidationIsCaughtOnLibTm) {
+  FuzzConfig Cfg;
+  Cfg.Fault.SkipReadValidation = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::LibTm, Cfg, 120, 3), 3u)
+      << "checker failed to flag the skipped-validation mutant";
+}
+
+TEST(EngineMutationSelfTest, TornVersionPublishIsCaughtOnLibTm) {
+  FuzzConfig Cfg;
+  Cfg.Fault.TornVersionPublish = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::LibTm, Cfg, 60, 3), 3u)
+      << "checker failed to flag the torn-publish mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedReaderDrainIsCaughtOnTlrw) {

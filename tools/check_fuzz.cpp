@@ -63,10 +63,11 @@ int main(int Argc, char **Argv) {
            "with --smoke)"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
-           "fault injection: skip read validation, TL2 + orec-eager "
-           "(checkers must object)"},
+           "fault injection: skip read validation, tl2-lazy + tl2-eager + "
+           "orec-eager + libtm (checkers must object)"},
           {"inject-torn-publish", "",
-           "fault injection: publish torn versions (checkers must object)"},
+           "fault injection: publish versions before the buffered "
+           "writeback, tl2-lazy + libtm (checkers must object)"},
           {"inject-skip-undo", "",
            "fault injection: skip undo replay on abort, tl2-eager + "
            "orec-eager + 2pl-undo (checkers must object)"},
@@ -100,9 +101,9 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned>(Opts.getInt("perturb-shift", Cfg.PerturbShift));
   // Fault injection, for watching the checkers catch a broken STM by hand
   // (the mutation self-test in tests/check_test.cpp automates this).
-  // Skip-validation and torn-publish break the commit TL2 and orec-eager
-  // share; the other two target engine-specific safety mechanisms (undo
-  // replay, reader-byte drain).
+  // Skip-validation and torn-publish break the commit tail TL2, LibTm and
+  // orec-eager share; the other two target engine-specific safety
+  // mechanisms (undo replay, reader-byte drain).
   Cfg.Fault.SkipReadValidation = Opts.getBool("inject-skip-validation", false);
   Cfg.Fault.TornVersionPublish = Opts.getBool("inject-torn-publish", false);
   Cfg.Fault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
