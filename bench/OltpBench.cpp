@@ -7,8 +7,8 @@
 
 #include "bench/OltpBench.h"
 
-#include "shard/ShardBackend.h"
 #include "support/SplitMix64.h"
+#include "tmds/TmBackend.h"
 #include "tmds/TmBTree.h"
 #include "tmds/TmSkipList.h"
 
@@ -274,11 +274,12 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
   }
 
   if (Sharded) {
-    ShardConfig C;
+    EngineConfig C;
     if (Cfg.Shards)
-      C.ShardCount = Cfg.Shards;
-    if (C.ShardCount == 0 || C.ShardCount > MaxShardCount) {
-      R.Error = "shard count must be in [1, " +
+      C.Shards = Cfg.Shards;
+    if (!ShardedTable::validShardCount(C.Shards)) {
+      R.Error = "shard count " + std::to_string(C.Shards) +
+                " is not a power of two in [1, " +
                 std::to_string(MaxShardCount) + "]";
       return R;
     }

@@ -88,8 +88,8 @@ struct OltpResult {
   uint64_t Aborts = 0;
   uint64_t CommitRingLookups = 0;
   uint64_t CommitRingMisses = 0;
-  /// Sharded backend only: commits that ran the cross-shard 2PC path
-  /// (zero on the flat backends).
+  /// Sharded backend only: commits whose write set spanned shards (zero
+  /// on the flat backends).
   uint64_t CrossShardCommits = 0;
 
   double opsPerSecond() const {

@@ -7,8 +7,7 @@
 
 #include "bench/ShardBench.h"
 
-#include "shard/ShardConfig.h"
-#include "shard/Sharded.h"
+#include "engine/Sharded.h"
 #include "shard/Steering.h"
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
@@ -65,15 +64,11 @@ std::vector<Op> makePlan(const ShardBenchConfig &Cfg, unsigned T,
   return Plan;
 }
 
-/// Executes one thread's plan on its own descriptor. \p Listener is only
-/// attached during steering learning windows.
+/// Executes one thread's plan on its own descriptor.
 void runWindow(ShardedStm &Stm, TVar<uint64_t> *Cells,
                const ShardBenchConfig &Cfg, unsigned T,
-               const std::vector<Op> &Plan,
-               ShardedTxn::CommitListener *Listener) {
+               const std::vector<Op> &Plan) {
   ShardedTxn Txn(Stm, T);
-  if (Listener)
-    Txn.setCommitListener(Listener);
   for (const Op &O : Plan) {
     TVar<uint64_t> *Base = Cells + size_t{O.Group} * Cfg.CellsPerGroup;
     TVar<uint64_t> &A = Base[O.CellA];
@@ -82,7 +77,7 @@ void runWindow(ShardedStm &Stm, TVar<uint64_t> *Cells,
         O.CrossGroup >= 0
             ? Cells + size_t(O.CrossGroup) * Cfg.CellsPerGroup + O.CrossCell
             : nullptr;
-    Txn.setAffinityGroup(O.Group);
+    Txn.state().AffinityGroup = O.Group;
     Txn.run(0, [&](ShardedTxn &Tx) {
       Tx.store(A, Tx.load(A) + 1);
       Tx.store(B, Tx.load(B) + 1);
@@ -92,15 +87,18 @@ void runWindow(ShardedStm &Stm, TVar<uint64_t> *Cells,
   }
 }
 
+/// Runs one window on every thread. \p Listener is only attached during
+/// steering learning windows.
 void runAllThreads(ShardedStm &Stm, TVar<uint64_t> *Cells,
                    const ShardBenchConfig &Cfg,
                    const std::vector<std::vector<Op>> &Plans,
-                   ShardedTxn::CommitListener *Listener) {
+                   ShardCommitListener *Listener) {
+  Stm.table().setCommitListener(Listener);
   std::vector<std::thread> Workers;
   Workers.reserve(Cfg.Threads);
   for (unsigned T = 0; T < Cfg.Threads; ++T)
     Workers.emplace_back([&, T] {
-      runWindow(Stm, Cells, Cfg, T, Plans[T], Listener);
+      runWindow(Stm, Cells, Cfg, T, Plans[T]);
     });
   for (std::thread &W : Workers)
     W.join();
@@ -111,7 +109,7 @@ void runAllThreads(ShardedStm &Stm, TVar<uint64_t> *Cells,
 ShardBenchResult gstm::runShardBench(const ShardBenchConfig &Cfg) {
   ShardBenchResult R;
   if (!Cfg.Threads || !Cfg.Groups || Cfg.CellsPerGroup < 2 ||
-      !Cfg.ShardCount || Cfg.ShardCount > MaxShardCount) {
+      !ShardedTable::validShardCount(Cfg.ShardCount)) {
     R.Ok = false;
     R.Error = "invalid shard bench configuration";
     return R;
@@ -122,8 +120,8 @@ ShardBenchResult gstm::runShardBench(const ShardBenchConfig &Cfg) {
     return R;
   }
 
-  ShardConfig SC;
-  SC.ShardCount = Cfg.ShardCount;
+  EngineConfig SC;
+  SC.Shards = Cfg.ShardCount;
   ShardedStm Stm(SC);
 
   const size_t CellCount = size_t{Cfg.Groups} * Cfg.CellsPerGroup;
@@ -155,7 +153,7 @@ ShardBenchResult gstm::runShardBench(const ShardBenchConfig &Cfg) {
     runAllThreads(Stm, Cells.get(), Cfg, WarmPlans, &Steering);
     Steering.drain();
     Learned = Steering.buildPlacement();
-    Stm.setPlacement(&Learned);
+    Stm.table().setPlacement(&Learned);
     Stm.stats().reset();
   }
 
@@ -169,7 +167,6 @@ ShardBenchResult gstm::runShardBench(const ShardBenchConfig &Cfg) {
   R.Commits = Agg.Commits;
   R.Aborts = Agg.Aborts;
   R.CrossShardCommits = Agg.CrossShardCommits;
-  R.PrepareRetries = Agg.PrepareRetries;
 
   // Honest-accounting gate: every increment the plans promised must be in
   // the cells, or the timing numbers describe a broken run.

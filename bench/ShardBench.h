@@ -12,7 +12,7 @@
 /// group per transaction and occasionally reach into a second one. Under
 /// the scatter hash a multi-cell intra-group transaction usually spans
 /// shards anyway; with the learned placement each group is single-homed,
-/// so only the deliberate cross-group reaches pay the 2PC path. The
+/// so only the deliberate cross-group reaches commit across shards. The
 /// steered-vs-unsteered cross-shard commit ratio is therefore the
 /// headline number (EXPERIMENTS.md `shards` axis), next to the plain
 /// ns/op medians that bench_regress gates.
@@ -63,13 +63,12 @@ struct ShardBenchResult {
   uint64_t Commits = 0;
   uint64_t Aborts = 0;
   uint64_t CrossShardCommits = 0;
-  uint64_t PrepareRetries = 0;
 
   double nsPerOp() const {
     return Operations ? WallSeconds * 1e9 / static_cast<double>(Operations)
                       : 0;
   }
-  /// Fraction of commits that ran the cross-shard 2PC path.
+  /// Fraction of commits whose write set spanned shards.
   double crossShardRatio() const {
     return Commits ? static_cast<double>(CrossShardCommits) /
                          static_cast<double>(Commits)

@@ -36,8 +36,9 @@ int main(int Argc, char **Argv) {
       {
           {"structure", "S", "skiplist or btree (default skiplist)"},
           {"backend", "B", "tl2, libtm or sharded (default tl2)"},
-          {"shards", "N", "shard count; implies --backend=sharded "
-                          "(default 0 = flat backend)"},
+          {"shards", "N", "shard count, a power of two in [1, 64]; "
+                          "implies --backend=sharded (default 0 = flat "
+                          "backend)"},
           {"threads", "T", "worker threads (default 4)"},
           {"records", "N", "preloaded keys (default 1048576)"},
           {"ops", "N", "total operations (default 262144)"},

@@ -127,7 +127,7 @@ std::string lockResidue(StmT &S, AnyCellLockedFn &&AnyCellLocked) {
   std::string Why;
   if constexpr (std::is_same_v<Table, ByteLockTable>)
     byteLockTableQuiescent(S.table(), &Why);
-  else if constexpr (std::is_same_v<Table, LockTable>)
+  else if constexpr (std::is_base_of_v<LockTable, Table>)
     lockTableQuiescent(S.table(), &Why);
   else if (AnyCellLocked())
     Why = "an object cell is still locked at quiescence";

@@ -33,6 +33,8 @@ const char *gstm::fuzzBackendName(FuzzBackend B) {
     return TlrwPolicy::Name;
   case FuzzBackend::TwoPlUndo:
     return TwoPlPolicy::Name;
+  case FuzzBackend::Sharded:
+    return ShardedPolicy::Name;
   case FuzzBackend::Reference:
     return "ref";
   }
@@ -261,6 +263,8 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
     return runEngine<TlrwPolicy>(Plan, Seed, Cfg);
   case FuzzBackend::TwoPlUndo:
     return runEngine<TwoPlPolicy>(Plan, Seed, Cfg);
+  case FuzzBackend::Sharded:
+    return runEngine<ShardedPolicy>(Plan, Seed, Cfg);
   case FuzzBackend::Reference:
     return runReference(Plan, Cfg);
   }

@@ -55,6 +55,9 @@ enum class FuzzBackend : uint8_t {
   Tlrw,
   /// and no-wait strict two-phase locking over the stripe table.
   TwoPlUndo,
+  /// TL2 over the sharded table (engine/Sharded.h), default shard count,
+  /// variables homed by the address hash.
+  Sharded,
   /// Single-threaded reference interpreter: executes the plan serially
   /// and synthesizes the history by hand. Known-good ground truth for
   /// both the differential comparison and the checkers themselves.
@@ -67,11 +70,11 @@ const char *fuzzBackendName(FuzzBackend B);
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
 /// Every backend, in fuzzBackendName order: TL2 in its two modes,
-/// LibTm, the other three chassis engines, and the serial reference.
+/// LibTm, the other four chassis engines, and the serial reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
-    FuzzBackend::Tl2Lazy,   FuzzBackend::Tl2Eager, FuzzBackend::LibTm,
-    FuzzBackend::OrecEager, FuzzBackend::Tlrw,     FuzzBackend::TwoPlUndo,
-    FuzzBackend::Reference};
+    FuzzBackend::Tl2Lazy,   FuzzBackend::Tl2Eager,  FuzzBackend::LibTm,
+    FuzzBackend::OrecEager, FuzzBackend::Tlrw,      FuzzBackend::TwoPlUndo,
+    FuzzBackend::Sharded,   FuzzBackend::Reference};
 
 /// Shape of the generated workloads. The defaults are sized for a
 /// single-core CI host: small enough that a thousand iterations run in

@@ -8,7 +8,7 @@
 #include "check/ShardFuzz.h"
 
 #include "check/Perturb.h"
-#include "shard/Sharded.h"
+#include "engine/Sharded.h"
 #include "stm/TVar.h"
 
 #include <sstream>
@@ -58,9 +58,9 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
   R.ExpectedCrossShardCommits =
       expectedCrossShardCommits(Plan, Cfg.ShardCount);
 
-  ShardConfig SC;
-  SC.ShardCount = Cfg.ShardCount;
-  SC.LockTableBits = 10; // small tables: deliberate stripe aliasing
+  EngineConfig SC;
+  SC.Shards = Cfg.ShardCount;
+  SC.TableBits = 10; // small shard blocks: deliberate stripe aliasing
   SC.PreemptShift = Cfg.PreemptShift;
   SC.SingleFenceCommit = Cfg.SingleFenceCommit;
   SC.Fault = Cfg.Fault;
@@ -78,7 +78,7 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
   for (unsigned V = 0; V < Cfg.Vars; ++V)
     Placement.addRange(&Cells[V], &Cells[V] + 1, V % Cfg.ShardCount);
   Placement.finalize();
-  Stm.setPlacement(&Placement);
+  Stm.table().setPlacement(&Placement);
 
   const unsigned RecThreads = Serial ? 1 : Cfg.Threads;
   HistoryRecorder Rec(RecThreads);
@@ -125,20 +125,11 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
     R.Final.push_back(Cells[V].loadDirect());
 
   std::string ResidueMsg;
-  for (unsigned S = 0; S < Cfg.ShardCount && ResidueMsg.empty(); ++S) {
-    std::string Why;
-    lockTableQuiescent(Stm.lockTableOf(S), &Why);
-    if (!Why.empty()) {
-      std::ostringstream Os;
-      Os << "shard " << S << ": " << Why;
-      ResidueMsg = Os.str();
-    }
-  }
+  lockTableQuiescent(Stm.table(), &ResidueMsg);
 
   StatsSnapshot Agg = Stm.stats().aggregate();
   R.CrossShardCommits = Agg.CrossShardCommits;
   R.CrossShardAborts = Agg.CrossShardAborts;
-  R.PrepareRetries = Agg.PrepareRetries;
 
   History H = Rec.take();
   R.Attempts = H.Attempts.size();
@@ -180,8 +171,8 @@ gstm::runShardDifferential(uint64_t Seed, const ShardFuzzConfig &Cfg) {
     Err << "sharded: " << Sharded.Error;
   D.PerVariant.emplace_back("sharded", std::move(Sharded));
 
-  // shards=1 degenerate: the same chassis with every variable homed on
-  // the single context — must behave exactly like unsharded TL2.
+  // shards=1 degenerate: the same policy with every variable homed on
+  // the single shard — must behave exactly like unsharded TL2.
   ShardFuzzConfig One = Cfg;
   One.ShardCount = 1;
   ShardFuzzResult Single = runShardFuzzIteration(Seed, One);

@@ -10,25 +10,25 @@
 /// same seeded read-modify-write plans (makeFuzzPlan — unique write
 /// deltas, schedule-independent expected final state), but executed on a
 /// ShardedStm whose cells are *explicitly placed* round-robin across the
-/// shard contexts via a ShardPlacement. With the variables scattered
+/// shards via a ShardPlacement. With the variables scattered
 /// shard-by-shard, a transaction touching two variables almost always
-/// spans two orec partitions, so every seed exercises the cross-shard
-/// prepare/publish 2PC; plans analytically predict exactly how many
-/// commits must be cross-shard, and the run fails unless the runtime's
-/// CrossShardCommits counter agrees — the telemetry is under test along
-/// with the protocol.
+/// spans two shard blocks, so every seed exercises cross-shard commits;
+/// plans analytically predict exactly how many commits must be
+/// cross-shard, and the run fails unless the runtime's CrossShardCommits
+/// counter agrees — the telemetry is under test along with the commit
+/// path.
 ///
 /// Each seed is judged like the rmw fuzzer (opacity/serializability
 /// checkers over the recorded history, final state vs the analytic
-/// expectation, per-shard lock-table quiescence, commit accounting) and
+/// expectation, lock-table quiescence, commit accounting) and
 /// differentially: the concurrent sharded run, a shards=1 degenerate run
 /// and a serial reference execution of the same plan must all pass and
 /// agree on the final state.
 ///
-/// Fault injection: ShardFaultInjection::TornCoordinatedPublish breaks
-/// the coordinated publish on purpose; the self-test requires the
-/// checkers (or the final-state comparison) to flag such runs, proving
-/// the harness would catch a real 2PC ordering bug.
+/// Fault injection: the engine-family faults (EngineFaultInjection)
+/// break the shared commit tail on purpose; the self-test requires the
+/// checkers to flag a torn cross-shard publish, proving the harness
+/// would catch a real ordering bug on the sharded path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,6 @@
 #define GSTM_CHECK_SHARDFUZZ_H
 
 #include "check/Fuzz.h"
-#include "shard/ShardConfig.h"
 
 #include <cstdint>
 #include <string>
@@ -53,15 +52,15 @@ struct ShardFuzzConfig {
   /// Cells, placed round-robin: variable v lives on shard v % ShardCount.
   unsigned Vars = 12;
   unsigned MaxOpsPerTxn = 4;
-  /// Shard contexts (power of two); 1 degenerates to unsharded TL2
-  /// semantics over the sharded chassis.
+  /// Shards (power of two); 1 degenerates to unsharded TL2 semantics
+  /// over the sharded table.
   unsigned ShardCount = 4;
   unsigned PreemptShift = 2;
   unsigned PerturbShift = 2;
   /// Commit ordering, as FuzzConfig::SingleFenceCommit; CI sweeps both.
   bool SingleFenceCommit = true;
   /// Fault injection (checker self-test only).
-  ShardFaultInjection Fault;
+  EngineFaultInjection Fault;
   CheckerConfig Checker;
 };
 
@@ -77,10 +76,9 @@ struct ShardFuzzResult {
   size_t Attempts = 0;
   size_t Committed = 0;
   uint64_t PerturbYields = 0;
-  /// Runtime telemetry after the run (aggregated over all shard groups).
+  /// Runtime telemetry after the run.
   uint64_t CrossShardCommits = 0;
   uint64_t CrossShardAborts = 0;
-  uint64_t PrepareRetries = 0;
   /// Cross-shard writer commits the plan analytically requires.
   uint64_t ExpectedCrossShardCommits = 0;
 

@@ -304,6 +304,8 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
     return runEngineDs<TlrwPolicy, DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::TwoPlUndo:
     return runEngineDs<TwoPlPolicy, DSTmpl>(Plan, Seed, Cfg);
+  case FuzzBackend::Sharded:
+    return runEngineDs<ShardedPolicy, DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::Reference:
     // Ground truth: the same plan on the TL2-backed structure, executed
     // by one worker thread-major — a genuinely serial interleaving whose

@@ -41,7 +41,6 @@ void writeSnapshotFields(JsonWriter &W, const StatsSnapshot &S) {
   W.key("commit_ring_misses").value(S.CommitRingMisses);
   W.key("cross_shard_commits").value(S.CrossShardCommits);
   W.key("cross_shard_aborts").value(S.CrossShardAborts);
-  W.key("prepare_retries").value(S.PrepareRetries);
 }
 
 void writeGuideStats(JsonWriter &W, const GuideStats &G) {
@@ -224,7 +223,7 @@ std::optional<StatsSnapshot> gstm::snapshotFromJson(const JsonValue &V) {
     S.CrossShardCommits = N->asU64();
   if (const JsonValue *N = V.find("cross_shard_aborts"))
     S.CrossShardAborts = N->asU64();
-  if (const JsonValue *N = V.find("prepare_retries"))
-    S.PrepareRetries = N->asU64();
+  // Documents written before the sharded tier joined the engine chassis
+  // also carry "prepare_retries"; the counter is gone, the key is skipped.
   return S;
 }

@@ -9,8 +9,8 @@
 /// Umbrella header for the engine family: include this to get every
 /// policy on the chassis — TL2 (lazy orecs, the paper's runtime), LibTm
 /// (object-embedded orecs, the paper's SynQuake runtime), orec-eager,
-/// TLRW and 2PL-undo. Only the sharded tier (src/shard) keeps its own
-/// descriptor. See DESIGN.md §4i for the full matrix.
+/// TLRW, 2PL-undo, and the sharded tier (TL2 over a partitioned table).
+/// See DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 
 #include "engine/LibTm.h"
 #include "engine/OrecEager.h"
+#include "engine/Sharded.h"
 #include "engine/Tl2.h"
 #include "engine/Tlrw.h"
 #include "engine/TwoPl.h"

@@ -30,7 +30,8 @@
 /// read-set validation and the commit tail (publish), adding only the
 /// write buffer and commit-time locking. LibTm (engine/LibTm.h) derives
 /// from it the same way; its orecs are the metadata words embedded in
-/// its objects, which is why a held orec is recorded by address.
+/// its objects, which is why a held orec is recorded by address. The
+/// sharded policy (engine/Sharded.h) is TL2 over a partitioned table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -175,11 +176,11 @@ struct OrecEagerPolicy {
   }
 
 protected:
-  /// The commit tail TL2, orec-eager and LibTm share. Entered holding
-  /// every written orec (Acquired, sorted by address): validate the read
-  /// set, run \p Writeback (the buffered writes of lazy TL2 and LibTm;
-  /// orec-eager wrote in place already), stamp wv, record attribution,
-  /// publish the versions.
+  /// The commit tail TL2, sharded, orec-eager and LibTm share. Entered
+  /// holding every written orec (Acquired, sorted by address): validate
+  /// the read set, run \p Writeback (the buffered writes of lazy TL2,
+  /// sharded and LibTm; orec-eager wrote in place already), stamp wv,
+  /// record attribution, publish the versions.
   template <typename TxnT, typename WritebackFn>
   static uint64_t publish(TxnT &Tx, WritebackFn &&Writeback) {
     auto &S = Tx.rt();
@@ -210,7 +211,7 @@ protected:
       // taken lock, both validate clean, and both commit a lost update
       // (real on POWER; invisible on x86/ARMv8, so check_fuzz cannot
       // catch it).
-      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::publish single-fence commit of tl2, orec-eager and libtm)
+      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::publish single-fence commit of tl2, sharded, orec-eager and libtm)
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!Cfg.Fault.SkipReadValidation)
         validate(Tx);

@@ -50,7 +50,8 @@ struct Tl2Policy : OrecEagerPolicy {
     MiniVector<WriteEntry, 32> WriteLog;
     PtrIndexMap<uint32_t, 5> WriteIndex;
     uint64_t WriteFilter = 0;
-    /// Commit-time scratch: the write set's stripe indices.
+    /// Commit-time scratch: the write set's stripe indices, sorted and
+    /// deduplicated once the commit has locked them.
     MiniVector<size_t, 32> StripeScratch;
 
     void clear() {

@@ -32,7 +32,7 @@ void ShardSteering::registerGroup(uint32_t Group, const void *Begin,
 void ShardSteering::onShardCommit(ThreadId Thread, uint32_t Group,
                                   uint64_t ShardMask, bool CrossShard) {
   (void)CrossShard; // derivable from the mask; not buffered
-  if (Group == ShardedTxn::NoAffinity)
+  if (Group == ShardedPolicy::NoAffinity)
     return;
   Lane &L = Lanes[static_cast<size_t>(Thread)];
   L.Observed.store(L.Observed.load(std::memory_order_relaxed) + 1,

@@ -23,8 +23,8 @@
 /// buildPlacement() compiles them into the next placement map.
 ///
 /// The loop closes at *quiescent points only*: run a learning window,
-/// drain, build, install via ShardedStm::setPlacement between windows —
-/// never mid-run, because re-homing an address moves which orec partition
+/// drain, build, install via ShardedTable::setPlacement between windows —
+/// never mid-run, because re-homing an address moves which orec block
 /// owns it (ShardPlacement doc). The steering objective is the
 /// CrossShardCommits counter: EXPERIMENTS.md's `shards` axis shows the
 /// cross-shard commit ratio dropping once the learned placement replaces
@@ -35,7 +35,7 @@
 #ifndef GSTM_SHARD_STEERING_H
 #define GSTM_SHARD_STEERING_H
 
-#include "shard/Sharded.h"
+#include "engine/Sharded.h"
 
 #include <atomic>
 #include <cstdint>
@@ -78,7 +78,7 @@ struct SteeringStats {
 /// threads, each writing only its own lane. registerGroup(), drain(),
 /// decay(), buildPlacement() and stats() must be called from one control
 /// thread.
-class ShardSteering : public ShardedTxn::CommitListener {
+class ShardSteering : public ShardCommitListener {
 public:
   /// \p Threads lanes are allocated up front; ThreadIds seen by
   /// onShardCommit must be < Threads. \p Shards is the runtime's shard
@@ -91,7 +91,7 @@ public:
   /// still accumulates but yields no placement range.
   void registerGroup(uint32_t Group, const void *Begin, const void *End);
 
-  // ShardedTxn::CommitListener: wait-free append to the caller's lane.
+  // ShardCommitListener: wait-free append to the caller's lane.
   void onShardCommit(ThreadId Thread, uint32_t Group, uint64_t ShardMask,
                      bool CrossShard) override;
 
@@ -106,7 +106,7 @@ public:
   /// descending traffic order each go to their highest-affinity shard
   /// (the shard their commits already touch most), overflowing to the
   /// least-loaded shard once a target exceeds the balance slack. The
-  /// returned map is finalized and ready for ShardedStm::setPlacement —
+  /// returned map is finalized and ready for ShardedTable::setPlacement —
   /// which the caller must only do at a quiescent point.
   ShardPlacement buildPlacement() const;
 

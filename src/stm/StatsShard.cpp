@@ -51,7 +51,6 @@ void StatsSnapshot::merge(const StatsSnapshot &Other) {
   CommitRingMisses += Other.CommitRingMisses;
   CrossShardCommits += Other.CrossShardCommits;
   CrossShardAborts += Other.CrossShardAborts;
-  PrepareRetries += Other.PrepareRetries;
 }
 
 uint64_t StatsSnapshot::causeTotal() const {
@@ -94,7 +93,6 @@ StatsSnapshot ShardedStats::snapshotShard(size_t Index) const {
   Out.CrossShardCommits =
       S.CrossShardCommits.load(std::memory_order_relaxed);
   Out.CrossShardAborts = S.CrossShardAborts.load(std::memory_order_relaxed);
-  Out.PrepareRetries = S.PrepareRetries.load(std::memory_order_relaxed);
   // Totals are derived, not stored: the shard's hot path only maintains
   // the breakdowns.
   Out.Commits = Out.retryTotal();
@@ -140,6 +138,5 @@ void ShardedStats::reset() {
     S.CommitRingMisses.store(0, std::memory_order_relaxed);
     S.CrossShardCommits.store(0, std::memory_order_relaxed);
     S.CrossShardAborts.store(0, std::memory_order_relaxed);
-    S.PrepareRetries.store(0, std::memory_order_relaxed);
   }
 }

@@ -95,15 +95,13 @@ struct alignas(256) StatsShard {
   /// visible in the JSON export instead of silent.
   std::atomic<uint64_t> CommitRingLookups{0};
   std::atomic<uint64_t> CommitRingMisses{0};
-  /// Sharded-tier telemetry (shard/Sharded.h); all zero on unsharded
+  /// Sharded-tier telemetry (engine/Sharded.h); all zero on unsharded
   /// runtimes. CrossShardCommits counts writer commits whose write set
-  /// spanned >= 2 shard contexts (the 2PC path — the quantity steering
-  /// minimizes); CrossShardAborts counts aborted attempts that had
-  /// touched >= 2 shards when they died; PrepareRetries counts bounded
-  /// spin iterations on locked stripes during cross-shard prepare.
+  /// spanned >= 2 shards (the quantity steering minimizes);
+  /// CrossShardAborts counts aborted attempts that had touched >= 2
+  /// shards when they died.
   std::atomic<uint64_t> CrossShardCommits{0};
   std::atomic<uint64_t> CrossShardAborts{0};
-  std::atomic<uint64_t> PrepareRetries{0};
 
   /// Single-writer increment: plain mov/add/mov instead of a locked RMW.
   static void bump(std::atomic<uint64_t> &C, uint64_t Delta = 1) {
@@ -138,7 +136,6 @@ struct alignas(256) StatsShard {
 
   void recordCrossShardCommit() { bump(CrossShardCommits); }
   void recordCrossShardAbort() { bump(CrossShardAborts); }
-  void recordPrepareRetry() { bump(PrepareRetries); }
 };
 
 /// Plain (non-atomic) copy of one shard or of the whole-runtime
@@ -157,7 +154,6 @@ struct StatsSnapshot {
   uint64_t CommitRingMisses = 0;
   uint64_t CrossShardCommits = 0;
   uint64_t CrossShardAborts = 0;
-  uint64_t PrepareRetries = 0;
 
   void merge(const StatsSnapshot &Other);
 

@@ -34,20 +34,6 @@ public:
     return Time.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
-  /// Raises the clock to at least \p Version (CAS-max; release on
-  /// success so a sampled value carries the raiser's prior writes).
-  /// Used by the sharded tier's per-shard applied clocks, which trail
-  /// the global commit sequencer and move only after the corresponding
-  /// stripe versions have been published (shard/Sharded.h).
-  void raiseTo(uint64_t Version) {
-    uint64_t Cur = Time.load(std::memory_order_relaxed);
-    while (Cur < Version &&
-           !Time.compare_exchange_weak(Cur, Version,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
 private:
   std::atomic<uint64_t> Time{0};
 };

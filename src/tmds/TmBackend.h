@@ -138,6 +138,7 @@ template <> struct EngineBackend<LibTmPolicy> {
 using Tl2Backend = EngineBackend<Tl2Policy>;
 using LibTmBackend = EngineBackend<LibTmPolicy>;
 using OrecEagerBackend = EngineBackend<OrecEagerPolicy>;
+using ShardBackend = EngineBackend<ShardedPolicy>;
 using TlrwBackend = EngineBackend<TlrwPolicy>;
 using TwoPlBackend = EngineBackend<TwoPlPolicy>;
 

@@ -103,10 +103,10 @@ if(NOT BtreeFuzzRc EQUAL 0)
   message(FATAL_ERROR "btree fuzz failed under asan (${BtreeFuzzRc})")
 endif()
 
-# Sharded tier: the 2PC prepare/publish walk iterates per-shard lock
-# tables and MiniVector-backed acquisition logs — exactly where an
-# off-by-one over the combined (shard, stripe) keys would read out of
-# bounds. Both commit orders sweep the grouped publish paths.
+# Sharded tier: every orec index is computed as (home shard << bits |
+# stripe) into one table, and commits walk MiniVector-backed acquisition
+# logs — exactly where an off-by-one in the shard arithmetic would read
+# out of bounds. Both commit orders sweep the shared publish paths.
 execute_process(
   COMMAND ${BUILD_DIR}/tools/check_fuzz --workload=sharded --iters=32
           --commit-order=both

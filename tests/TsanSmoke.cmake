@@ -98,14 +98,15 @@ if(NOT HistRc EQUAL 0)
   message(FATAL_ERROR "latency_histogram_test failed under tsan (${HistRc})")
 endif()
 
-# The sharded tier's cross-shard 2PC publishes one commit through
-# several lock tables and applied clocks behind a single release fence;
-# the concurrent-increments test races four real writer threads through
-# that path, and the steering listener's SPSC lanes ride along. TSan
-# sees the relaxed stripe stores directly against racing validators.
+# The sharded policy publishes a cross-shard commit through the shared
+# single-fence tail — relaxed stripe stores in several shard blocks
+# behind one release fence; the concurrent-increments test races four
+# real writer threads through that path, and the steering listener's
+# SPSC lanes ride along. The typed engine suite's concurrent cases run
+# the same policy with the address hash homing the cells.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/shard_test
-          --gtest_filter=TwoShardFixture.*:SteeringTest.*
+          --gtest_filter=TwoShardFixture.*:SteeringTest.*:ShardedStmTest.*
   RESULT_VARIABLE ShardRc)
 if(NOT ShardRc EQUAL 0)
   message(FATAL_ERROR "shard_test failed under tsan (${ShardRc})")

@@ -21,7 +21,7 @@
 #include "model/OnlineLearner.h"
 #include "model/Serialize.h"
 #include "model/Store.h"
-#include "shard/ShardConfig.h"
+#include "engine/Sharded.h"
 #include "stamp/Kmeans.h"
 #include "support/SplitMix64.h"
 
@@ -355,37 +355,27 @@ TEST_F(StoreFixture, RefusesKeyMismatch) {
 
 TEST_F(StoreFixture, ShardConfigSelectsDistinctStoreKeys) {
   // Every knob in the canonical shard rendering must move the config
-  // hash: a model trained under 4 shards (or a different address hash,
-  // or steering) describes a different conflict structure and must not
-  // collide with the unsharded entry.
-  ShardConfig Base;
-  Base.ShardCount = 1;
-  ShardConfig Four = Base;
-  Four.ShardCount = 4;
-  ShardConfig Fib = Four;
-  Fib.ShardHash = ShardHashKind::Fibonacci;
-  ShardConfig Steered = Four;
-  Steered.Steering = true;
+  // hash: a model trained under 4 shards (or with steering) describes a
+  // different conflict structure and must not collide with the
+  // unsharded entry.
+  EXPECT_EQ(shardConfigCanonical(1, false),
+            "shards=1;shard-hash=mix;steer=0;");
+  EXPECT_NE(shardConfigCanonical(1, false), shardConfigCanonical(4, false));
+  EXPECT_NE(shardConfigCanonical(4, false), shardConfigCanonical(4, true));
 
-  EXPECT_EQ(shardConfigCanonical(Base), "shards=1;shard-hash=mix;steer=0;");
-  EXPECT_NE(shardConfigCanonical(Base), shardConfigCanonical(Four));
-  EXPECT_NE(shardConfigCanonical(Four), shardConfigCanonical(Fib));
-  EXPECT_NE(shardConfigCanonical(Four), shardConfigCanonical(Steered));
-
-  auto KeyWith = [](const ShardConfig &SC) {
+  auto KeyWith = [](unsigned Shards, bool Steering) {
     ModelKey K;
     K.Workload = "kmeans";
     K.Threads = 8;
-    K.ConfigHash =
-        hashConfigString("grouping=sequence;" + shardConfigCanonical(SC));
+    K.ConfigHash = hashConfigString("grouping=sequence;" +
+                                    shardConfigCanonical(Shards, Steering));
     return K;
   };
-  ModelKey Plain = KeyWith(Base);
-  ModelKey Sharded = KeyWith(Four);
+  ModelKey Plain = KeyWith(1, false);
+  ModelKey Sharded = KeyWith(4, false);
   EXPECT_NE(Plain.ConfigHash, Sharded.ConfigHash);
   EXPECT_NE(Plain.id(), Sharded.id());
-  EXPECT_NE(KeyWith(Fib).ConfigHash, Sharded.ConfigHash);
-  EXPECT_NE(KeyWith(Steered).ConfigHash, Sharded.ConfigHash);
+  EXPECT_NE(KeyWith(4, true).ConfigHash, Sharded.ConfigHash);
 
   // Both live side by side in one store and load back independently.
   ModelStore Store(Dir);

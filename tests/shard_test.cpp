@@ -5,19 +5,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded tier (src/shard) in four tiers: configuration and placement
-// plumbing, the ShardedTxn commit protocol against a live runtime
-// (single- and cross-shard, applied-clock publication, exact telemetry),
-// the steering learner's ingest/drain/build loop, and the mutation
-// self-test — the torn-coordinated-publish fault must be flagged by the
-// opacity checker, not merely by final-state sums.
+// The sharded tier (engine/Sharded.h, shard/Steering.h) in four tiers:
+// shard-count validation and placement plumbing, single- and cross-shard
+// commits against a live runtime (exact telemetry, lock quiescence), the
+// steering learner's ingest/drain/build loop, and the mutation self-test
+// — a torn cross-shard publish must be flagged by the opacity checker,
+// not merely by final-state sums.
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/Checker.h"
 #include "check/ShardFuzz.h"
-#include "shard/ShardConfig.h"
-#include "shard/Sharded.h"
+#include "engine/Sharded.h"
 #include "shard/Steering.h"
 #include "stm/TVar.h"
 
@@ -33,15 +32,25 @@ namespace {
 // Configuration and placement plumbing
 //===----------------------------------------------------------------------===//
 
-TEST(ShardConfigTest, HashNamesRoundTrip) {
-  ShardHashKind Kind = ShardHashKind::Mix;
-  EXPECT_TRUE(shardHashFromName("fib", Kind));
-  EXPECT_EQ(Kind, ShardHashKind::Fibonacci);
-  EXPECT_STREQ(shardHashName(Kind), "fib");
-  EXPECT_TRUE(shardHashFromName("mix", Kind));
-  EXPECT_EQ(Kind, ShardHashKind::Mix);
-  EXPECT_STREQ(shardHashName(Kind), "mix");
-  EXPECT_FALSE(shardHashFromName("crc", Kind));
+TEST(ShardedTableTest, ShardCountsArePowersOfTwoUpToTheMaskWidth) {
+  for (unsigned Good : {1u, 2u, 4u, 64u})
+    EXPECT_TRUE(ShardedTable::validShardCount(Good)) << Good;
+  for (unsigned Bad : {0u, 3u, 6u, 96u, 128u})
+    EXPECT_FALSE(ShardedTable::validShardCount(Bad)) << Bad;
+}
+
+TEST(ShardedTableDeathTest, NonPowerOfTwoShardCountIsRefused) {
+  // Index arithmetic masks by Shards - 1: three shards would home nothing
+  // on shard 1, so every build must refuse the count outright.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EngineConfig Cfg;
+        Cfg.Shards = 3;
+        Cfg.TableBits = 8;
+        ShardedStm Stm(Cfg);
+      },
+      "shard count 3 is not a power of two");
 }
 
 TEST(ShardPlacementTest, LookupResolvesRangesAndRejectsUnmapped) {
@@ -58,23 +67,29 @@ TEST(ShardPlacementTest, LookupResolvesRangesAndRejectsUnmapped) {
 }
 
 TEST(ShardedStmTest, PlacementOverridesAddressHash) {
-  ShardConfig SC;
-  SC.ShardCount = 4;
-  SC.LockTableBits = 8;
+  EngineConfig SC;
+  SC.Shards = 4;
+  SC.TableBits = 8;
   ShardedStm Stm(SC);
+  ShardedTable &T = Stm.table();
+  EXPECT_EQ(T.size(), size_t{4} << 8);
 
   TVar<uint64_t> Cells[4];
   for (TVar<uint64_t> &C : Cells)
-    EXPECT_LT(Stm.shardFor(&C.word()), 4u);
+    EXPECT_LT(T.homeShard(&C.word()), 4u);
 
   ShardPlacement P;
   P.addRange(&Cells[0], &Cells[2], 2);
   P.finalize();
-  Stm.setPlacement(&P);
-  EXPECT_EQ(Stm.shardFor(&Cells[0].word()), 2u);
-  EXPECT_EQ(Stm.shardFor(&Cells[1].word()), 2u);
+  T.setPlacement(&P);
+  EXPECT_EQ(T.homeShard(&Cells[0].word()), 2u);
+  EXPECT_EQ(T.homeShard(&Cells[1].word()), 2u);
+  // A word's orec sits in its home shard's block of the one table.
+  EXPECT_EQ(T.indexFor(&Cells[0].word()) >> 8, 2u);
+  EXPECT_EQ(&T.stripeFor(&Cells[1].word()),
+            &T.stripeAt(T.indexFor(&Cells[1].word())));
   // Unmapped addresses fall back to the hash.
-  EXPECT_LT(Stm.shardFor(&Cells[3].word()), 4u);
+  EXPECT_LT(T.homeShard(&Cells[3].word()), 4u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -89,12 +104,12 @@ struct TwoShardFixture : ::testing::Test {
     Placement.addRange(&A, &A + 1, 0);
     Placement.addRange(&B, &B + 1, 1);
     Placement.finalize();
-    Stm.setPlacement(&Placement);
+    Stm.table().setPlacement(&Placement);
   }
-  static ShardConfig config() {
-    ShardConfig SC;
-    SC.ShardCount = 4;
-    SC.LockTableBits = 8;
+  static EngineConfig config() {
+    EngineConfig SC;
+    SC.Shards = 4;
+    SC.TableBits = 8;
     return SC;
   }
   ShardedStm Stm;
@@ -111,12 +126,9 @@ TEST_F(TwoShardFixture, SingleShardCommitDoesNotCountAsCrossShard) {
   EXPECT_EQ(Agg.Commits, 1u);
   EXPECT_EQ(Agg.CrossShardCommits, 0u);
   EXPECT_TRUE(Agg.consistent());
-  // The writer's home shard saw the publish; shard 1 never advanced.
-  EXPECT_EQ(Stm.appliedClockOf(0).sample(), Stm.clock().sample());
-  EXPECT_EQ(Stm.appliedClockOf(1).sample(), 0u);
 }
 
-TEST_F(TwoShardFixture, CrossShardCommitRaisesEveryParticipantClock) {
+TEST_F(TwoShardFixture, CrossShardCommitPublishesBothShards) {
   ShardedTxn Txn(Stm, 0);
   Txn.run(0, [&](ShardedTxn &Tx) {
     uint64_t VA = Tx.load(A);
@@ -132,17 +144,31 @@ TEST_F(TwoShardFixture, CrossShardCommitRaisesEveryParticipantClock) {
   EXPECT_EQ(Agg.CrossShardCommits, 1u);
   EXPECT_TRUE(Agg.consistent());
 
-  // Both participants' applied clocks reached the commit version; the
-  // untouched shards stayed at zero.
   uint64_t Wv = Stm.clock().sample();
   ASSERT_GT(Wv, 0u);
-  EXPECT_EQ(Stm.appliedClockOf(0).sample(), Wv);
-  EXPECT_EQ(Stm.appliedClockOf(1).sample(), Wv);
-  EXPECT_EQ(Stm.appliedClockOf(2).sample(), 0u);
-  EXPECT_EQ(Stm.appliedClockOf(3).sample(), 0u);
+  EXPECT_TRUE(lockTableQuiescent(Stm.table()));
+}
 
-  for (unsigned S = 0; S < 4; ++S)
-    EXPECT_TRUE(lockTableQuiescent(Stm.lockTableOf(S))) << "shard " << S;
+TEST_F(TwoShardFixture, EagerCrossShardCommitIsCountedFromHeldOrecs) {
+  // Eager detection locks at encounter time, so the write shards come
+  // from the held orecs instead of the sorted write set.
+  EngineConfig Cfg = config();
+  Cfg.Detection = ConflictDetection::Eager;
+  ShardedStm Eager(Cfg);
+  Eager.table().setPlacement(&Placement);
+  ShardedTxn Txn(Eager, 0);
+  Txn.run(0, [&](ShardedTxn &Tx) {
+    Tx.store(A, Tx.load(A) + 1);
+    Tx.store(B, Tx.load(B) + 1);
+  });
+  Txn.run(0, [&](ShardedTxn &Tx) { Tx.store(A, Tx.load(A) + 1); });
+  EXPECT_EQ(A.loadDirect(), 12u);
+  EXPECT_EQ(B.loadDirect(), 21u);
+
+  StatsSnapshot Agg = Eager.stats().aggregate();
+  EXPECT_EQ(Agg.Commits, 2u);
+  EXPECT_EQ(Agg.CrossShardCommits, 1u);
+  EXPECT_TRUE(lockTableQuiescent(Eager.table()));
 }
 
 TEST_F(TwoShardFixture, ReadOnlyCrossShardCommitAdvancesNothing) {
@@ -155,7 +181,7 @@ TEST_F(TwoShardFixture, ReadOnlyCrossShardCommitAdvancesNothing) {
   EXPECT_EQ(Agg.Commits, 1u);
   EXPECT_EQ(Agg.ReadOnlyCommits, 1u);
   // Read-only commits take no locks and publish nothing, so a span of
-  // two shards is not a cross-shard (2PC) commit.
+  // two shards is not a cross-shard commit.
   EXPECT_EQ(Agg.CrossShardCommits, 0u);
   EXPECT_EQ(Stm.clock().sample(), 0u);
 }
@@ -164,17 +190,17 @@ TEST_F(TwoShardFixture, ConcurrentCrossShardIncrementsAreExact) {
   constexpr unsigned Threads = 4;
   constexpr uint64_t PerThread = 200;
 
-  // Every transaction writes both shards, so every commit is a 2PC
-  // commit and the telemetry must say exactly that.
+  // Every transaction writes both shards, so every commit is a
+  // cross-shard commit and the telemetry must say exactly that.
   ShardSteering Steering(Threads, 4);
   Steering.registerGroup(0, &A, &A + 1);
+  Stm.table().setCommitListener(&Steering);
 
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
       ShardedTxn Txn(Stm, T);
-      Txn.setCommitListener(&Steering);
-      Txn.setAffinityGroup(0);
+      Txn.state().AffinityGroup = 0;
       for (uint64_t I = 0; I < PerThread; ++I)
         Txn.run(0, [&](ShardedTxn &Tx) {
           uint64_t VA = Tx.load(A);
@@ -194,8 +220,7 @@ TEST_F(TwoShardFixture, ConcurrentCrossShardIncrementsAreExact) {
   EXPECT_EQ(Agg.Commits, Total);
   EXPECT_EQ(Agg.CrossShardCommits, Total);
   EXPECT_TRUE(Agg.consistent());
-  for (unsigned S = 0; S < 4; ++S)
-    EXPECT_TRUE(lockTableQuiescent(Stm.lockTableOf(S))) << "shard " << S;
+  EXPECT_TRUE(lockTableQuiescent(Stm.table()));
 
   // The steering listener saw every commit as cross-shard traffic.
   EXPECT_EQ(Steering.drain(), Total);
@@ -274,7 +299,7 @@ TEST(ShardFuzzTest, DifferentialSmokePassesBothCommitOrders) {
 }
 
 TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
-  // At least one seed in a small window must exercise the 2PC path, or
+  // At least one seed in a small window must commit across shards, or
   // the smoke above proves nothing about cross-shard commits.
   uint64_t Cross = 0;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
@@ -286,15 +311,15 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
   EXPECT_GT(Cross, 0u);
 }
 
-// The fault tears the coordinated publish: the first participating
-// shard's stripe versions go live at wv before any shard's data is
-// written back. The opacity checker must flag the resulting executions
-// (stale value under a fresh version / inconsistent snapshot) within a
-// bounded seed window — the clean smoke above proves the same seeds pass
-// without the fault.
+// The fault tears the publish of the cross-shard plan's commits: every
+// written orec goes live at wv before any data is written back (the
+// engine-family TornVersionPublish mutant, on the sharded path). The
+// opacity checker must flag the resulting executions (stale value under
+// a fresh version / inconsistent snapshot) within a bounded seed window
+// — the clean smoke above proves the same seeds pass without the fault.
 TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
   ShardFuzzConfig Cfg;
-  Cfg.Fault.TornCoordinatedPublish = true;
+  Cfg.Fault.TornVersionPublish = true;
   unsigned Violations = 0;
   uint64_t FirstCaught = 0;
   for (uint64_t Seed = 1; Seed <= 60 && Violations < 3; ++Seed) {
@@ -306,7 +331,7 @@ TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
     }
   }
   EXPECT_GE(Violations, 3u)
-      << "opacity checker failed to flag the torn coordinated publish";
+      << "opacity checker failed to flag the torn cross-shard publish";
   EXPECT_NE(FirstCaught, 0u);
 }
 

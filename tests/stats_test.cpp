@@ -47,8 +47,6 @@ TEST(StatsShardTest, RecordersFeedTheRightCounters) {
   Shard.recordCommitRingLookup(/*Hit=*/false);
   Shard.recordCrossShardCommit();
   Shard.recordCrossShardAbort();
-  Shard.recordPrepareRetry();
-  Shard.recordPrepareRetry();
 
   StatsSnapshot Snap = S.snapshotShard(3);
   EXPECT_EQ(Snap.Commits, 2u);
@@ -67,7 +65,6 @@ TEST(StatsShardTest, RecordersFeedTheRightCounters) {
   EXPECT_DOUBLE_EQ(Snap.commitRingMissRatio(), 0.5);
   EXPECT_EQ(Snap.CrossShardCommits, 1u);
   EXPECT_EQ(Snap.CrossShardAborts, 1u);
-  EXPECT_EQ(Snap.PrepareRetries, 2u);
   EXPECT_TRUE(Snap.consistent());
 
   // Other shards are untouched.
@@ -95,7 +92,6 @@ TEST(StatsShardTest, SnapshotMergeSumsEveryField) {
   A.CommitRingLookups = 2;
   A.CommitRingMisses = 1;
   A.CrossShardCommits = 1;
-  A.PrepareRetries = 5;
   B.Commits = 2;
   B.ReadOnlyCommits = 2;
   B.Aborts = 2;
@@ -108,7 +104,6 @@ TEST(StatsShardTest, SnapshotMergeSumsEveryField) {
   B.CommitRingMisses = 3;
   B.CrossShardCommits = 1;
   B.CrossShardAborts = 2;
-  B.PrepareRetries = 1;
 
   A.merge(B);
   EXPECT_EQ(A.Commits, 5u);
@@ -124,7 +119,6 @@ TEST(StatsShardTest, SnapshotMergeSumsEveryField) {
   EXPECT_EQ(A.CommitRingMisses, 4u);
   EXPECT_EQ(A.CrossShardCommits, 2u);
   EXPECT_EQ(A.CrossShardAborts, 2u);
-  EXPECT_EQ(A.PrepareRetries, 6u);
   EXPECT_TRUE(A.consistent());
   EXPECT_DOUBLE_EQ(A.meanAttemptNanos(), 75.0);
 }
@@ -625,7 +619,6 @@ TEST(JsonTest, ShardCountersSurviveExportParseRoundtrip) {
   S.RetryHistogram[0] = 4;
   S.CrossShardCommits = 2;
   S.CrossShardAborts = 1;
-  S.PrepareRetries = 9;
   ASSERT_TRUE(S.consistent());
 
   JsonWriter W;
@@ -634,17 +627,45 @@ TEST(JsonTest, ShardCountersSurviveExportParseRoundtrip) {
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("cross_shard_commits")->asU64(), 2u);
   EXPECT_EQ(Doc->find("cross_shard_aborts")->asU64(), 1u);
-  EXPECT_EQ(Doc->find("prepare_retries")->asU64(), 9u);
+  EXPECT_EQ(Doc->find("prepare_retries"), nullptr);
 
   std::optional<StatsSnapshot> Back = snapshotFromJson(*Doc);
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->CrossShardCommits, 2u);
   EXPECT_EQ(Back->CrossShardAborts, 1u);
-  EXPECT_EQ(Back->PrepareRetries, 9u);
   EXPECT_TRUE(Back->consistent());
 
   // A cross-shard total exceeding the commits counter is a torn export:
   // consistent() must reject it.
   Back->CrossShardCommits = Back->Commits + 1;
   EXPECT_FALSE(Back->consistent());
+}
+
+TEST(JsonTest, OldDocumentWithPrepareRetriesStillParses) {
+  // Telemetry written while the sharded tier had a bounded prepare spin
+  // carries a "prepare_retries" counter; the reader skips it.
+  StatsSnapshot S;
+  S.Commits = 4;
+  S.Aborts = 3;
+  S.AbortsByCause[size_t(AbortCauseKind::Explicit)] = 3;
+  S.AbortsBySite[size_t(AbortSite::Explicit)] = 3;
+  S.RetryHistogram[0] = 4;
+  S.CrossShardCommits = 2;
+  S.CrossShardAborts = 1;
+  JsonWriter W;
+  writeTelemetryJson(W, S, {});
+  std::string Text = W.str();
+  size_t At = Text.find("\"cross_shard_aborts\"");
+  ASSERT_NE(At, std::string::npos);
+  Text.insert(At, "\"prepare_retries\": 9, ");
+
+  std::optional<JsonValue> Doc = parseJson(Text);
+  ASSERT_TRUE(Doc.has_value());
+  EXPECT_EQ(Doc->find("prepare_retries")->asU64(), 9u);
+  std::optional<StatsSnapshot> Back = snapshotFromJson(*Doc);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(Back->Commits, 4u);
+  EXPECT_EQ(Back->CrossShardCommits, 2u);
+  EXPECT_EQ(Back->CrossShardAborts, 1u);
+  EXPECT_TRUE(Back->consistent());
 }

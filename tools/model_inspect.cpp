@@ -126,12 +126,10 @@ static bool printAndVerifySnapshot(const char *Label,
   if (Snap->Attempts)
     std::printf("  attempts:  %lu (mean latency %.0f ns)\n", Snap->Attempts,
                 Snap->meanAttemptNanos());
-  if (Snap->CrossShardCommits || Snap->CrossShardAborts ||
-      Snap->PrepareRetries)
+  if (Snap->CrossShardCommits || Snap->CrossShardAborts)
     std::printf("  sharding:  %lu cross-shard commits, %lu cross-shard "
-                "aborts, %lu prepare retries\n",
-                Snap->CrossShardCommits, Snap->CrossShardAborts,
-                Snap->PrepareRetries);
+                "aborts\n",
+                Snap->CrossShardCommits, Snap->CrossShardAborts);
 
   bool Ok = true;
   if (Snap->causeTotal() != Snap->Aborts) {
